@@ -3,8 +3,9 @@
 With a constant stepsize the best objective stops improving at a
 positive plateau set jointly by the stepsize and the noise magnitude.
 This driver runs the chain-driven method on the study problem for each
-(stepsize, noise scale) pair and reports the median plateau, estimated
-as the minimum objective over the last 10% of each run.
+(stepsize, noise scale) pair, all seeds of a pair as one run_batch, and
+reports the median plateau, estimated as the minimum objective over the
+last 10% of each run.
 
 Caveat: smaller stepsizes descend proportionally slower, so a pair
 whose descent phase exceeds the budget reports its current transient
@@ -21,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from chainopt import ConstantStepsize, NoiseModel, build_experiment, run
+from chainopt import ConstantStepsize, NoiseModel, build_experiment, run_batch
 
 
 def parse_args():
@@ -52,14 +53,16 @@ def main():
             plateaus = []
             bests = []
             descending = False
-            for seed in seeds:
-                config = build_experiment(
-                    "m1", 5, seed=seed, schedule=ConstantStepsize(lam), budget=budget
+            configs = [
+                dataclasses.replace(
+                    build_experiment(
+                        "m1", 5, seed=seed, schedule=ConstantStepsize(lam), budget=budget
+                    ),
+                    noise=NoiseModel("normal_scaled", scale),
                 )
-                config = dataclasses.replace(
-                    config, noise=NoiseModel("normal_scaled", scale)
-                )
-                trace = run(config)
+                for seed in seeds
+            ]
+            for trace in run_batch(configs):
                 tail = trace.f[-(len(trace.f) // 10):]
                 plateaus.append(float(tail.min()))
                 bests.append(float(trace.best_f[-1]))

@@ -63,6 +63,7 @@ from .optimizer import (
     make_baseline,
     parse_trace_csv,
     run,
+    run_batch,
     save_run_config,
     start_chains,
     step_once,

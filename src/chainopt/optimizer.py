@@ -3,10 +3,12 @@
 Each iteration advances every selection chain one transition, takes one
 noisy subgradient step per chain from the shared iterate using the
 component the chain landed on, averages the per-chain results, and
-projects the average back onto the box. Runs are bitwise reproducible:
-every chain owns two random streams derived from (chain index, seed),
-one for transitions and one for noise, so neither thread count nor
-execution order can shift a draw.
+projects the average back onto the box. run_batch advances S runs that
+share the problem and schedule as one (S, n) stack of iterates, and
+run(config) is a batch of one. Runs are bitwise reproducible: every
+chain owns two random streams derived from (chain index, seed), one for
+transitions and one for noise, so neither batch composition nor batch
+order can shift a draw.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import csv
 import json
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -49,6 +50,7 @@ __all__ = [
     "stepsize_array",
     "start_chains",
     "step_once",
+    "run_batch",
     "run",
     "make_baseline",
     "thin_trace",
@@ -58,7 +60,14 @@ __all__ = [
     "load_run_config",
 ]
 
-NOISE_BLOCK = 4096
+# Iterations per block: chain walks, noise draws, objective values and
+# recording run once per block, which bounds the engine's buffers.
+BLOCK = 512
+# Noise rows are drawn per block; perfbench replays the draws in chunks of
+# this size.
+NOISE_BLOCK = BLOCK
+# Rows per slice when writing a trace CSV.
+CSV_CHUNK = 1024
 
 
 class InvalidParametersError(ValueError):
@@ -294,7 +303,10 @@ class Trace:
     iterate, one column per chain. best_f is tracked on every iteration
     even when the recording stride skips some, and best_x/best_k point
     at the overall best iterate. max_subgradient_norm is the largest
-    scaled subgradient norm actually applied during the run.
+    scaled subgradient norm actually applied during the run. wall_time_s
+    is the run's wall time; for a run_batch of S configs it is the
+    batch's wall time divided by S. The traces of one batch share their
+    k and lam arrays, which are read-only.
     """
 
     k: np.ndarray
@@ -316,174 +328,273 @@ class Trace:
         iterations = int(self.k[-1]) if len(self) else 0
         return self.wall_time_s / iterations * 1e9 if iterations else 0.0
 
-    def rows(self):
-        for i in range(len(self)):
-            yield (
-                int(self.k[i]),
-                float(self.f[i]),
-                float(self.best_f[i]),
-                float(self.lam[i]),
-                tuple(int(s) for s in self.states[i]),
+
+def _same_problem(a: ConvexSumProblem, b: ConvexSumProblem) -> bool:
+    """Equal data: the same box, weights and components (L1 ones by value)."""
+    if a is b:
+        return True
+    if a.n != b.n or a.m != b.m:
+        return False
+    if not (
+        np.array_equal(a.feasible.lower, b.feasible.lower)
+        and np.array_equal(a.feasible.upper, b.feasible.upper)
+        and np.array_equal(a.weights, b.weights)
+    ):
+        return False
+    for c, d in zip(a.components, b.components):
+        if c is d:
+            continue
+        if not (isinstance(c, L1Component) and isinstance(d, L1Component)):
+            return False
+        if not (np.array_equal(c.a, d.a) and c.b == d.b):
+            return False
+    return True
+
+
+def _same_scale(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b)
+
+
+# Fields every config of one batch must share, with how they are compared.
+_SHARED = (
+    ("problem", _same_problem),
+    ("matrix", lambda a, b: a is b or np.array_equal(a.matrix, b.matrix)),
+    ("schedule", lambda a, b: a == b),
+    ("noise", lambda a, b: a == b),
+    ("budget", lambda a, b: a == b),
+    ("stride", lambda a, b: a == b),
+    ("subgradient_scale", _same_scale),
+)
+
+
+def _check_shared(configs: list[RunConfig]) -> None:
+    first = configs[0]
+    for index, config in enumerate(configs[1:], start=1):
+        for field, same in _SHARED:
+            if not same(getattr(first, field), getattr(config, field)):
+                raise ValueError(
+                    f"run_batch configs must share {field!r}: config {index} differs "
+                    "from config 0"
+                )
+        if len(config.chains) != len(first.chains):
+            raise ValueError(
+                f"run_batch configs must share the chain count: config {index} has "
+                f"{len(config.chains)} chains, config 0 has {len(first.chains)}"
             )
 
 
-def _fast_l1_tables(problem: ConvexSumProblem, scale):
-    """Stacked arrays for the all-L1 inner loop, or None when not applicable."""
+def _l1_tables(problem: ConvexSumProblem, scale):
+    """Stacked rows, offsets, signed subgradients and their norms, or None.
+
+    The signed table holds [-a, 0, +a] for each component, already
+    multiplied by its subgradient scale, so row 3 i + 1 + sign(r) is the
+    applied subgradient of component i at residual r.
+    """
     if not all(isinstance(c, L1Component) for c in problem.components):
         return None
     rows = np.vstack([c.a for c in problem.components])
     offsets = np.array([c.b for c in problem.components])
-    plus = [c.a for c in problem.components]
-    minus = [c._neg for c in problem.components]
-    zero = problem.components[0]._zero
+    signed = np.stack([-rows, np.zeros_like(rows), rows], axis=1)
     norms = np.linalg.norm(rows, axis=1)
     if scale is not None:
+        signed = signed * scale[:, np.newaxis, np.newaxis]
         norms = norms * scale
-    return rows, offsets, plus, minus, zero, norms
+    return rows, offsets, signed.reshape(-1, problem.n), norms
 
 
-def run(config: RunConfig, workers: int = 1) -> Trace:
-    """Execute the configured number of iterations and record a Trace.
+def _objectives(problem: ConvexSumProblem, tables, points: np.ndarray) -> np.ndarray:
+    """Objective at each row of points (P, n).
 
-    The chains' state trajectories are drawn up front (transition and
-    noise streams are distinct, so the reordering is invisible), noise
-    is generated in blocks from each chain's own stream, and the
-    per-chain updates inside one iteration may be farmed out to threads;
-    none of this changes a single bit of the result.
+    For all-L1 problems this is one stacked matrix-vector product and one
+    stacked dot, which run the same BLAS routines on the same vectors as
+    a per-point `weights @ abs(rows @ x - offsets)`, so each value is
+    bitwise what the per-point evaluation gives.
     """
-    _check_config(config)
-    _warn_unreachable(config)
-    problem = config.problem
-    box = problem.feasible
+    if tables is None:
+        return np.array([objective(problem, point) for point in points])
+    rows, offsets = tables[0], tables[1]
+    residuals = np.matmul(rows, points[:, :, np.newaxis])[:, :, 0]
+    np.subtract(residuals, offsets, out=residuals)
+    np.abs(residuals, out=residuals)
+    return np.matmul(residuals[:, np.newaxis, :], problem.weights)[:, 0]
+
+
+def run_batch(configs) -> list[Trace]:
+    """Run several configs at once; returns one Trace per config, in order.
+
+    The configs must share the problem (compared by value), transition
+    matrix, schedule, noise model, budget, stride, subgradient scale and
+    chain count; anything else, such as the chains' seeds and starts or
+    x0, may differ. Each config keeps its own chains and random streams,
+    and the engine advances all of their iterates as one (S, n) stack, so
+    every Trace is bitwise identical to what the config gives alone or in
+    any other batch, in any position. Each Trace's wall_time_s is the
+    batch's wall time divided by the number of configs.
+
+    Work that depends on the iterate runs once per iteration for every
+    (run, chain) pair together. Chain walks, noise, objective values,
+    best-so-far tracking and recording run once per block of BLOCK
+    iterations, and only the rows the stride records are stored.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("run_batch needs at least one config")
+    for config in configs:
+        _check_config(config)
+    _check_shared(configs)
+    for config in configs:
+        _warn_unreachable(config)
+    first = configs[0]
+    problem = first.problem
+    lower, upper = problem.feasible.lower, problem.feasible.upper
     n = problem.n
-    K = config.budget
-    M = len(config.chains)
-    scale = config.subgradient_scale
-    noise = config.noise
+    K = first.budget
+    S = len(configs)
+    M = len(first.chains)
+    scale = first.subgradient_scale
+    noise = first.noise
     noisy = noise.kind != "zero"
+    tables = _l1_tables(problem, scale)
+    if tables is not None:
+        rows, offsets, signed, norm_table = tables
 
     started = time.perf_counter()
-    runtimes = start_chains(config)
-    states = np.empty((K + 1, M), dtype=np.int64)
-    for index, runtime in enumerate(runtimes):
-        states[0, index] = runtime.state.current
-        states[1:, index] = markov.walk(runtime.state, config.matrix, K)
-    lam = stepsize_array(config.schedule, K + 1)
+    runtimes = [start_chains(config) for config in configs]
+    lam = stepsize_array(first.schedule, K + 1)
+    rec_k = np.zeros(K + 1, dtype=bool)
+    rec_k[0 :: first.stride] = True
+    rec_k[K] = True
+    rec_k = np.flatnonzero(rec_k).astype(np.int64)
+    # one row per run, so each Trace takes its row without a copy
+    rec_f = np.empty((S, len(rec_k)))
+    rec_best = np.empty((S, len(rec_k)))
+    rec_states = np.empty((S, len(rec_k), M), dtype=np.int64)
 
-    tables = _fast_l1_tables(problem, scale)
-    weights = problem.weights
+    # X[j] is the iterate stack after j steps of the current block; the
+    # views present it as columns for the residual matmul and as rows
+    # broadcast over the chains.
+    X = np.empty((BLOCK + 1, S, n))
+    X_col = X[:, :, np.newaxis, :, np.newaxis]
+    X_row = X[:, :, np.newaxis, :]
+    X[0] = [config.x0 for config in configs]
+    rec_states[:, 0] = [[rt.state.current for rt in chains] for chains in runtimes]
+    best_f = _objectives(problem, tables, X[0])
+    rec_f[:, 0] = best_f
+    rec_best[:, 0] = best_f
+    best_x = X[0].copy()
+    best_k = np.zeros(S, dtype=np.int64)
+    max_norm = np.zeros(S)
+
+    walked = np.empty((BLOCK, S, M), dtype=np.int64)
+    norms = np.empty((BLOCK, S, M))
+    noise_rows = np.empty((BLOCK, S, M, n)) if noisy else None
+    step = np.empty((S, M, n))
+    sub = np.empty((S, M, n))
+    residual = np.empty((S, M, 1, 1))
+    flat_residual = residual.reshape(S, M)
     if tables is not None:
-        rows, offsets, plus, minus, zero_vec, applied_norms = tables
-        row_views = [rows[i] for i in range(rows.shape[0])]
-        offset_list = offsets.tolist()
-        residual_buf = np.empty(rows.shape[0])
+        signs = np.empty((BLOCK, S, M), dtype=np.int8)
+        table_index = np.empty((S, M), dtype=np.intp)
 
-    x = np.array(config.x0)
-    f_all = np.empty(K + 1)
-    best_all = np.empty(K + 1)
-
-    def evaluate(point) -> float:
-        if tables is None:
-            return objective(problem, point)
-        np.matmul(rows, point, out=residual_buf)
-        np.subtract(residual_buf, offsets, out=residual_buf)
-        np.abs(residual_buf, out=residual_buf)
-        return float(weights @ residual_buf)
-
-    f_all[0] = evaluate(x)
-    best_f = f_all[0]
-    best_all[0] = best_f
-    best_x = x.copy()
-    best_k = 0
-    max_norm = 0.0
-
-    sub = np.empty((M, n))
-    work = np.empty((M, n))
-    mean_buf = np.empty(n)
-    noise_blocks = [None] * M
-    noise_offset = 0
-
-    def chain_update(index: int, k: int, lam_k: float) -> float:
-        """Fill sub[index] with this chain's subiterate; returns applied norm."""
-        s = int(states[k + 1, index])
-        buf = work[index]
+    for k0 in range(0, K, BLOCK):
+        count = min(BLOCK, K - k0)
+        for s, chains in enumerate(runtimes):
+            for c, runtime in enumerate(chains):
+                walked[:count, s, c] = markov.walk(runtime.state, first.matrix, count)
+                if noisy:
+                    noise_rows[:count, s, c] = sample_noise_block(
+                        noise, k0 + 1, count, runtime.noise_rng, n
+                    )
+        states = walked[:count]
+        lams = lam[k0 : k0 + count].tolist()
         if tables is not None:
-            residual = float(row_views[s] @ x) - offset_list[s]
-            if residual > 0.0:
-                g = plus[s]
-            elif residual < 0.0:
-                g = minus[s]
+            block_rows = rows[states][:, :, :, np.newaxis, :]
+            block_offsets = offsets[states]
+            block_base = 3 * states + 1
+        for j, lam_j in enumerate(lams):
+            if tables is not None:
+                np.matmul(block_rows[j], X_col[j], out=residual)
+                np.subtract(flat_residual, block_offsets[j], out=flat_residual)
+                np.sign(flat_residual, out=signs[j], casting="unsafe")
+                np.add(signs[j], block_base[j], out=table_index)
+                signed.take(table_index, axis=0, out=step, mode="clip")
             else:
-                g = zero_vec
-            norm = float(applied_norms[s]) if residual != 0.0 else 0.0
-        else:
-            g = problem.components[s].subgradient(x)
-            if scale is not None:
-                np.multiply(g, scale[s], out=buf)
-                g = buf
-            norm = float(np.linalg.norm(g))
-        if tables is not None and scale is not None:
-            np.multiply(g, scale[s], out=buf)
-            g = buf
-        if noisy:
-            np.add(g, noise_blocks[index][noise_offset], out=buf)
-            g = buf
-        np.multiply(g, lam_k, out=buf)
-        np.subtract(x, buf, out=sub[index])
-        return norm
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 and M > 1 else None
-    try:
-        for k in range(K):
+                x = X[j]
+                for s in range(S):
+                    for c in range(M):
+                        i = states[j, s, c]
+                        g = problem.components[i].subgradient(x[s])
+                        if scale is not None:
+                            g = g * scale[i]
+                        step[s, c] = g
+                # stacked g @ g: bitwise the dot inside np.linalg.norm(g)
+                np.matmul(step[:, :, np.newaxis, :], step[:, :, :, np.newaxis], out=residual)
+                np.sqrt(flat_residual, out=norms[j])
             if noisy:
-                if noise_offset == 0 or noise_offset == NOISE_BLOCK:
-                    count = min(NOISE_BLOCK, K - k)
-                    for index, runtime in enumerate(runtimes):
-                        noise_blocks[index] = sample_noise_block(
-                            noise, k + 1, count, runtime.noise_rng, n
-                        )
-                    noise_offset = 0
-            lam_k = float(lam[k])
-            if pool is not None:
-                norms = list(pool.map(chain_update, range(M), [k] * M, [lam_k] * M))
+                np.add(step, noise_rows[j], out=step)
+            np.multiply(step, lam_j, out=step)
+            x_next = X[j + 1]
+            # add.reduce then divide is np.mean (one chain's step is its
+            # own mean); maximum then minimum is np.clip, signed zeros and
+            # NaN included
+            if M == 1:
+                np.subtract(X_row[j], step, out=X_row[j + 1])
             else:
-                norms = [chain_update(index, k, lam_k) for index in range(M)]
-            for value in norms:
-                if value > max_norm:
-                    max_norm = value
-            np.mean(sub, axis=0, out=mean_buf)
-            np.clip(mean_buf, box.lower, box.upper, out=x)
-            fk = evaluate(x)
-            f_all[k + 1] = fk
-            if fk < best_f:
-                best_f = fk
-                best_x = x.copy()
-                best_k = k + 1
-            best_all[k + 1] = best_f
-            if noisy:
-                noise_offset += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    wall = time.perf_counter() - started
+                np.subtract(X_row[j], step, out=sub)
+                np.add.reduce(sub, axis=1, out=x_next)
+                np.divide(x_next, M, out=x_next)
+            np.maximum(x_next, lower, out=x_next)
+            np.minimum(x_next, upper, out=x_next)
 
-    recorded = np.zeros(K + 1, dtype=bool)
-    recorded[0] = True
-    recorded[config.stride :: config.stride] = True
-    recorded[K] = True
-    idx = np.flatnonzero(recorded)
-    return Trace(
-        k=idx.astype(np.int64),
-        f=f_all[idx],
-        best_f=best_all[idx],
-        lam=lam[idx],
-        states=states[idx],
-        final_x=x.copy(),
-        best_x=best_x,
-        best_k=best_k,
-        wall_time_s=wall,
-        max_subgradient_norm=max_norm,
-    )
+        if tables is not None:
+            np.multiply(signs[:count] != 0, norm_table[states], out=norms[:count])
+        np.fmax(max_norm, np.fmax.reduce(norms[:count], axis=(0, 2)), out=max_norm)
+        f = _objectives(problem, tables, X[1 : count + 1].reshape(count * S, n))
+        f = f.reshape(count, S)
+        running = np.fmin.accumulate(f, axis=0)
+        np.fmin(running, best_f, out=running)
+        for s in np.flatnonzero(running[-1] < best_f):
+            j = int(np.flatnonzero(f[:, s] == running[-1, s])[0])
+            best_k[s] = k0 + 1 + j
+            best_x[s] = X[j + 1, s]
+        best_f = running[-1].copy()
+        lo = np.searchsorted(rec_k, k0 + 1)
+        hi = np.searchsorted(rec_k, k0 + count, side="right")
+        local = rec_k[lo:hi] - (k0 + 1)
+        rec_f[:, lo:hi] = f[local].T
+        rec_best[:, lo:hi] = running[local].T
+        rec_states[:, lo:hi] = states[local].swapaxes(0, 1)
+        X[0] = X[count]
+    wall = (time.perf_counter() - started) / S
+
+    rec_lam = lam[rec_k]
+    rec_k.flags.writeable = False
+    rec_lam.flags.writeable = False
+    return [
+        Trace(
+            k=rec_k,
+            f=rec_f[s],
+            best_f=rec_best[s],
+            lam=rec_lam,
+            states=rec_states[s],
+            final_x=X[0, s].copy(),
+            best_x=best_x[s].copy(),
+            best_k=int(best_k[s]),
+            wall_time_s=wall,
+            max_subgradient_norm=float(max_norm[s]),
+        )
+        for s in range(S)
+    ]
+
+
+def run(config: RunConfig) -> Trace:
+    """Execute the configured number of iterations and record a Trace.
+
+    A batch of one: run(config) is run_batch([config])[0].
+    """
+    return run_batch([config])[0]
 
 
 def make_baseline(kind: str, m: int, neighbors=None):
@@ -548,19 +659,26 @@ def thin_trace(trace: Trace, stride: int) -> Trace:
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """Emit the recorded rows; floats use repr so parsing is lossless."""
+    """Emit the recorded rows; floats use repr so parsing is lossless.
+
+    The bytes are what csv.writer writes for these rows (no field needs
+    quoting, and lines end in CRLF), built from column slices of
+    CSV_CHUNK rows so memory stays flat for long traces.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "f", "best_f", "lambda", "states"])
-        for k, f, best_f, lam, states in trace.rows():
-            writer.writerow(
-                [
-                    k,
-                    repr(f),
-                    repr(best_f),
-                    repr(lam),
-                    "|".join(str(s + 1) for s in states),
-                ]
+        fh.write("k,f,best_f,lambda,states\r\n")
+        for start in range(0, len(trace), CSV_CHUNK):
+            rows = slice(start, start + CSV_CHUNK)
+            labels = ["|".join(map(str, row)) for row in (trace.states[rows] + 1).tolist()]
+            fh.writelines(
+                f"{k},{f!r},{best_f!r},{lam!r},{states}\r\n"
+                for k, f, best_f, lam, states in zip(
+                    trace.k[rows].tolist(),
+                    trace.f[rows].tolist(),
+                    trace.best_f[rows].tolist(),
+                    trace.lam[rows].tolist(),
+                    labels,
+                )
             )
 
 

@@ -38,6 +38,7 @@ from chainopt import (
     make_l1_problem,
     objective,
     run,
+    run_batch,
     start_chains,
     step_once,
     study_design,
@@ -343,18 +344,20 @@ def test_criterion_09_weighted_objective_matches_grid_minimum():
 
 def test_criterion_10_trace_csvs_are_bitwise_reproducible(tmp_path):
     config = build_experiment("m1", 5, seed=7, budget=20_000, stride=2)
-    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
+    other = build_experiment("m1", 5, seed=8, budget=20_000, stride=2)
+    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv", "d.csv")]
     write_trace_csv(run(config), paths[0])
     write_trace_csv(run(config), paths[1])
-    write_trace_csv(run(config, workers=2), paths[2])
+    write_trace_csv(run_batch([other, config])[1], paths[2])
+    write_trace_csv(run_batch([config, other])[0], paths[3])
     blobs = [p.read_bytes() for p in paths]
     rerun_same = blobs[0] == blobs[1]
-    threads_same = blobs[0] == blobs[2]
-    ok = rerun_same and threads_same
+    batch_same = blobs[0] == blobs[2] == blobs[3]
+    ok = rerun_same and batch_same
     report(
         10,
         ok,
-        f"rerun identical: {rerun_same}, 1-thread vs 2-thread identical: "
-        f"{threads_same} ({len(blobs[0])} bytes)",
+        f"rerun identical: {rerun_same}, alone vs second and first of a batch "
+        f"identical: {batch_same} ({len(blobs[0])} bytes)",
     )
     assert ok

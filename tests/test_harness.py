@@ -298,6 +298,18 @@ class TestDecayDiagnostic:
         assert set(payload["matrix"]) == {"alpha_hat", "beta_hat", "rmse", "k_used"}
         assert payload["transient"] is None
 
+    def test_fit_stops_at_rounding_floor(self):
+        # two uniform 50-state blocks coupled by e decay exactly as
+        # (1 - 2e)^k; past k = 32 the norms are rounding, near 5e-13, and
+        # fitting them drags beta_hat down to about 0.71
+        e, block = 0.288, 50
+        mat = np.full((2 * block, 2 * block), e / block)
+        mat[:block, :block] = (1.0 - e) / block
+        mat[block:, block:] = (1.0 - e) / block
+        report = decay_diagnostic(validate_stochastic(mat), k_max=50)
+        exact = -np.log(1.0 - 2.0 * e)
+        assert report.matrix.beta_hat == pytest.approx(exact, rel=0.01)
+
     def test_identity_degenerate(self):
         with pytest.raises(DegenerateFitError):
             decay_diagnostic(validate_stochastic(np.eye(3)))

@@ -1,6 +1,8 @@
 """Tests for the averaged-subgradient loop: schedules, updates, determinism."""
 
+import csv
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from chainopt import (
     NoiseModel,
     RunConfig,
     UnreachableClassWarning,
+    build_experiment,
     decompose,
     load_run_config,
     make_baseline,
@@ -24,6 +27,7 @@ from chainopt import (
     objective,
     parse_trace_csv,
     run,
+    run_batch,
     save_run_config,
     start_chains,
     step_once,
@@ -235,13 +239,14 @@ class TestRun:
         assert np.array_equal(t1.best_x, t2.best_x)
         assert t1.best_k == t2.best_k
 
-    def test_workers_do_not_change_bits(self):
+    def test_batch_composition_does_not_change_bits(self):
         config = study_config(budget=500)
-        t1 = run(config, workers=1)
-        t2 = run(config, workers=3)
-        assert np.array_equal(t1.f, t2.f)
-        assert np.array_equal(t1.states, t2.states)
-        assert np.array_equal(t1.final_x, t2.final_x)
+        other = study_config(budget=500, seed=4)
+        t1 = run(config)
+        for t2 in (run_batch([other, config])[1], run_batch([config, other])[0]):
+            assert np.array_equal(t1.f, t2.f)
+            assert np.array_equal(t1.states, t2.states)
+            assert np.array_equal(t1.final_x, t2.final_x)
 
     def test_seed_changes_trajectory(self):
         t1 = run(study_config(budget=200, seed=0))
@@ -497,6 +502,154 @@ class TestCyclicReduction:
         assert np.array_equal(trace.f, np.asarray(fs))
 
 
+# ------------------------------------------------------------- batched runs
+
+
+def reference_run(config):
+    """Plain-numpy loop over one config's documented semantics.
+
+    Each chain's two streams come from SeedSequence(seed, spawn_key=
+    (chain index,)).spawn(2); the first picks the start state and every
+    transition by inverse CDF, the second draws one noise row per
+    iteration. Only numpy and the config's data are used.
+    """
+    comps = config.problem.components
+    A = np.vstack([c.a for c in comps])
+    b = np.asarray([c.b for c in comps])
+    w = config.problem.weights
+    lo, hi = config.problem.feasible.lower, config.problem.feasible.upper
+    m, n = A.shape
+    scale = np.ones(m) if config.subgradient_scale is None else config.subgradient_scale
+    applied_norms = np.linalg.norm(A, axis=1) * scale
+    cum = np.cumsum(config.matrix.matrix, axis=1)
+    cum[:, -1] = 1.0
+    walkers, noises, current = [], [], []
+    for index, spec in enumerate(config.chains):
+        walk_seq, noise_seq = np.random.SeedSequence(
+            entropy=spec.seed, spawn_key=(index,)
+        ).spawn(2)
+        walker = np.random.default_rng(walk_seq)
+        start = np.cumsum(spec.init_dist)
+        start[-1] = 1.0
+        current.append(int(np.searchsorted(start, walker.random(), side="right")))
+        walkers.append(walker)
+        noises.append(np.random.default_rng(noise_seq))
+    sched = config.schedule
+    x = np.array(config.x0)
+    fs = [float(w @ np.abs(A @ x - b))]
+    lams = []
+    states = [list(current)]
+    best_f, best_x, best_k, max_norm = fs[0], x.copy(), 0, 0.0
+    for k in range(config.budget):
+        lam = sched.a / float(k // sched.block_len + 1) ** sched.xi
+        lams.append(lam)
+        subs = []
+        for c in range(len(current)):
+            s = int(np.searchsorted(cum[current[c]], walkers[c].random(), side="right"))
+            current[c] = s
+            r = float(A[s] @ x) - b[s]
+            if r > 0.0:
+                g = A[s] * scale[s]
+            elif r < 0.0:
+                g = -A[s] * scale[s]
+            else:
+                g = np.zeros(n)
+            if r != 0.0:
+                max_norm = max(max_norm, float(applied_norms[s]))
+            if config.noise.kind == "normal_scaled":
+                g = g + noises[c].standard_normal(n) * config.noise.scale
+            subs.append(x - lam * g)
+        x = np.clip(np.mean(subs, axis=0), lo, hi)
+        f = float(w @ np.abs(A @ x - b))
+        fs.append(f)
+        states.append(list(current))
+        if f < best_f:
+            best_f, best_x, best_k = f, x.copy(), k + 1
+    lams.append(sched.a / float(config.budget // sched.block_len + 1) ** sched.xi)
+    keep = sorted(set(range(0, config.budget + 1, config.stride)) | {config.budget})
+    running = np.minimum.accumulate(np.asarray(fs))
+    return {
+        "k": np.asarray(keep),
+        "f": np.asarray(fs)[keep],
+        "best_f": running[keep],
+        "lam": np.asarray(lams)[keep],
+        "states": np.asarray(states)[keep],
+        "final_x": x,
+        "best_x": best_x,
+        "best_k": best_k,
+        "max_subgradient_norm": max_norm,
+    }
+
+
+TRACE_FIELDS = (
+    "k", "f", "best_f", "lam", "states", "final_x", "best_x", "best_k",
+    "max_subgradient_norm",
+)
+
+
+def assert_same_trace(trace, expected):
+    for field in TRACE_FIELDS:
+        want = expected[field] if isinstance(expected, dict) else getattr(expected, field)
+        assert np.array_equal(getattr(trace, field), want), field
+
+
+def scaled_noisy_config(budget=300, seed=0):
+    """Two chains, normal noise, a subgradient scale and stride 3."""
+    config = study_config(
+        budget=budget, seed=seed, noise=NoiseModel.normal_scaled(0.1), stride=3
+    )
+    return replace(config, subgradient_scale=np.linspace(0.5, 1.5, config.problem.m))
+
+
+class TestRunBatch:
+    def test_matches_reference_loop(self):
+        config = scaled_noisy_config(budget=300)
+        assert len(config.chains) == 2
+        assert_same_trace(run_batch([config])[0], reference_run(config))
+
+    @pytest.mark.parametrize("budget", [1, 511, 513, 4097])
+    def test_block_edges_match_reference_loop(self, budget):
+        configs = [scaled_noisy_config(budget=budget, seed=s) for s in (0, 1)]
+        for trace, config in zip(run_batch(configs), configs):
+            assert_same_trace(trace, reference_run(config))
+
+    @pytest.mark.parametrize("method", ["m1", "m2", "m3", "m4"])
+    @pytest.mark.parametrize("test", [1, 2, 5])
+    def test_three_seed_batch_equals_single_runs(self, method, test):
+        configs = [build_experiment(method, test, seed=s, budget=600) for s in (0, 1, 2)]
+        for trace, config in zip(run_batch(configs), configs):
+            assert_same_trace(trace, run(config))
+
+    def test_wall_time_is_shared(self):
+        traces = run_batch([study_config(budget=50, seed=s) for s in (0, 1)])
+        assert traces[0].wall_time_s == traces[1].wall_time_s > 0.0
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("problem", lambda c: replace(c, problem=make_l1_problem(
+                np.vstack([comp.a for comp in c.problem.components]),
+                np.asarray([comp.b + 1.0 for comp in c.problem.components]),
+                c.problem.feasible, c.problem.weights))),
+            ("matrix", lambda c: replace(c, matrix=make_baseline("uniform_random", 7)[0])),
+            ("schedule", lambda c: replace(c, schedule=ConstantStepsize(0.1))),
+            ("noise", lambda c: replace(c, noise=NoiseModel.zero())),
+            ("budget", lambda c: replace(c, budget=c.budget + 1)),
+            ("stride", lambda c: replace(c, stride=2)),
+            ("subgradient_scale", lambda c: replace(c, subgradient_scale=np.ones(7))),
+            ("chain count", lambda c: replace(c, chains=c.chains[:1])),
+        ],
+    )
+    def test_configs_must_share_fields(self, field, change):
+        config = study_config(budget=20)
+        with pytest.raises(ValueError, match=field):
+            run_batch([config, change(config)])
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            run_batch([])
+
+
 # ---------------------------------------------------------------- baselines
 
 
@@ -582,6 +735,27 @@ class TestTraceIO:
         assert first[0] == "0"
         labels = [int(tok) for tok in first[4].split("|")]
         assert all(1 <= lab <= 7 for lab in labels)
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        trace = run(study_config(budget=150, stride=10))
+        assert trace.states.shape[1] == 2
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["k", "f", "best_f", "lambda", "states"])
+            for i in range(len(trace)):
+                writer.writerow(
+                    [
+                        int(trace.k[i]),
+                        repr(float(trace.f[i])),
+                        repr(float(trace.best_f[i])),
+                        repr(float(trace.lam[i])),
+                        "|".join(str(int(s) + 1) for s in trace.states[i]),
+                    ]
+                )
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_parse_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "trace.csv"
