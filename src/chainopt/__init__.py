@@ -30,7 +30,6 @@ from .markov import (
     power_limit,
     read_distribution_text,
     read_matrix_text,
-    step,
     validate_stochastic,
     walk,
     write_matrix_text,
@@ -44,7 +43,6 @@ from .problems import (
     make_l1_problem,
     objective,
     project,
-    sample_noise,
     sample_noise_block,
     save_problem,
     weights_from_chains,
@@ -66,7 +64,6 @@ from .optimizer import (
     run_batch,
     save_run_config,
     start_chains,
-    step_once,
     stepsize,
     stepsize_array,
     thin_trace,

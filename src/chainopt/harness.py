@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .markov import TransitionMatrix, decompose, validate_stochastic
+from .markov import TransitionMatrix, decompose, power_limit, validate_stochastic
 from .optimizer import (
     ChainSpec,
     ConstantStepsize,
@@ -461,7 +461,7 @@ def _fit_decay(ks: np.ndarray, values: np.ndarray, floor: float):
 
 
 def decay_diagnostic(P: TransitionMatrix, k_max: int = 50) -> DecayReport:
-    """Measure how fast P^(delta k) approaches its limit.
+    """Measure how fast P^(delta k) approaches power_limit(P, delta).
 
     Computes the induced max-row-sum norm of the difference for
     k = 1..k_max and fits a geometric decay to the points above the
@@ -476,7 +476,7 @@ def decay_diagnostic(P: TransitionMatrix, k_max: int = 50) -> DecayReport:
         raise ValueError(f"k_max must be at least 5, got {k_max}")
     decomp = decompose(P)
     block = np.linalg.matrix_power(P.matrix, decomp.delta)
-    limit = decomp.power_limit
+    limit = power_limit(P, decomp.delta)
     t_idx = np.asarray(decomp.transient, dtype=np.int64)
     ks = np.arange(1, k_max + 1)
     norms = np.empty(k_max)

@@ -1,11 +1,11 @@
 """Finite Markov chain structure analysis and limit computation.
 
 Decomposes a row-stochastic transition matrix into recurrent classes,
-transient states, and class periods, then computes the two limit objects
-that drive chain-weighted optimization: the Cesaro (time-averaged) limit
-of the matrix powers, which exists even for periodic chains, and the
-plain power limit taken along multiples of the global period. Also
-provides seeded trajectory sampling.
+transient states, and class periods, and computes the Cesaro
+(time-averaged) limit of the matrix powers that drives chain-weighted
+optimization; it exists even for periodic chains. The plain power limit
+along multiples of the global period, a mixing diagnostic, is computed
+only on request. Also provides seeded trajectory sampling.
 
 States are 0-based throughout the in-memory API. Text files, JSON
 reports, and error messages use 1-based state labels.
@@ -36,7 +36,6 @@ __all__ = [
     "power_limit",
     "limiting_distribution",
     "make_chain",
-    "step",
     "walk",
     "decomposition_report",
     "read_matrix_text",
@@ -115,16 +114,11 @@ class TransitionMatrix:
         object.__setattr__(self, "matrix", mat)
         cum = np.cumsum(mat, axis=1)
         cum[:, -1] = 1.0
-        cum.flags.writeable = False
-        object.__setattr__(self, "_cum", cum)
         object.__setattr__(self, "_cum_rows", [row.tolist() for row in cum])
 
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
-
-    def support(self) -> np.ndarray:
-        return self.matrix > 0.0
 
 
 def validate_stochastic(raw) -> TransitionMatrix:
@@ -145,12 +139,12 @@ def _as_transition(P) -> TransitionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ChainDecomposition:
-    """Recurrent classes, periods, transient states, and both limit matrices.
+    """Recurrent classes, periods, transient states, and the Cesaro limit.
 
     classes are 0-based, each sorted ascending, ordered by smallest
     member. delta is the least common multiple of the class periods.
-    cesaro is the limit of averaged powers; power_limit is the limit of
-    P raised to multiples of delta.
+    cesaro is the limit of averaged powers. The limit of P raised to
+    multiples of delta is not stored; power_limit(P, delta) computes it.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -158,7 +152,6 @@ class ChainDecomposition:
     transient: tuple[int, ...]
     delta: int
     cesaro: np.ndarray
-    power_limit: np.ndarray
 
 
 def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
@@ -237,7 +230,7 @@ def _class_period(adj: list[list[int]], members: tuple[int, ...]) -> int:
 
 
 def decompose(P: TransitionMatrix) -> ChainDecomposition:
-    """Classify states and compute both limit matrices.
+    """Classify states and compute the Cesaro limit.
 
     A strongly connected component of the support graph is a recurrent
     class exactly when it is closed (no edge leaves it); every other
@@ -263,14 +256,12 @@ def decompose(P: TransitionMatrix) -> ChainDecomposition:
     for p in periods:
         delta = math.lcm(delta, p)
     cesaro = cesaro_limit(P, tuple(classes), tuple(sorted(transient)))
-    plim = power_limit(P, delta)
     return ChainDecomposition(
         classes=tuple(classes),
         periods=periods,
         transient=tuple(sorted(transient)),
         delta=delta,
         cesaro=cesaro,
-        power_limit=plim,
     )
 
 
@@ -414,11 +405,7 @@ def limiting_distribution(pi0, decomp: ChainDecomposition) -> np.ndarray:
 
 @dataclass
 class ChainState:
-    """Current state plus the chain's own random stream.
-
-    One ChainState must not be stepped from two threads at once; distinct
-    chains are independent and may advance concurrently.
-    """
+    """Current state plus the chain's own random stream; walk() advances it."""
 
     current: int
     rng: np.random.Generator
@@ -433,19 +420,12 @@ def make_chain(P: TransitionMatrix, init_dist, rng: np.random.Generator) -> Chai
     return ChainState(current=bisect_right(cum, u), rng=rng)
 
 
-def step(chain: ChainState, P: TransitionMatrix) -> ChainState:
-    """Advance one transition by inverse-CDF sampling on the current row."""
-    u = chain.rng.random()
-    chain.current = bisect_right(P._cum_rows[chain.current], u)
-    return chain
-
-
 def walk(chain: ChainState, P: TransitionMatrix, steps: int) -> np.ndarray:
     """Advance `steps` transitions, returning every visited state.
 
-    Consumes the chain's stream exactly as `steps` calls of step() would:
-    batched uniform draws from a Generator match sequential scalar draws
-    bit for bit.
+    Each transition samples the current row by inverse CDF with one
+    uniform draw; the draws are taken as one batch, which a Generator
+    makes bitwise equal to sequential scalar draws.
     """
     draws = chain.rng.random(steps).tolist()
     rows = P._cum_rows

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -32,7 +33,6 @@ from .problems import (
     make_l1_problem,
     objective,
     project,
-    sample_noise,
     sample_noise_block,
 )
 
@@ -49,7 +49,6 @@ __all__ = [
     "stepsize",
     "stepsize_array",
     "start_chains",
-    "step_once",
     "run_batch",
     "run",
     "make_baseline",
@@ -129,11 +128,18 @@ def stepsize(schedule, k: int) -> float:
 
 def stepsize_array(schedule, count: int) -> np.ndarray:
     """First `count` stepsizes, bitwise equal to scalar stepsize() calls."""
+    return _stepsizes(schedule, 0, count)
+
+
+def _stepsizes(schedule, start: int, count: int) -> np.ndarray:
+    """Stepsizes for k = start .. start + count - 1, bitwise stepsize()."""
     if isinstance(schedule, ConstantStepsize):
         return np.full(count, schedule.lam)
-    blocks = -(-count // schedule.block_len)
-    values = [schedule.a / float(t + 1) ** schedule.xi for t in range(blocks)]
-    return np.repeat(np.asarray(values), schedule.block_len)[:count]
+    first = start // schedule.block_len
+    last = (start + count - 1) // schedule.block_len
+    values = [schedule.a / float(t + 1) ** schedule.xi for t in range(first, last + 1)]
+    skip = start - first * schedule.block_len
+    return np.repeat(np.asarray(values), schedule.block_len)[skip : skip + count]
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,6 +229,11 @@ def _warn_unreachable(config: RunConfig) -> None:
     usually signals a modeling mistake, but the run itself is still well
     defined, so this stays a warning.
     """
+    # attribute the warning to the first frame outside this module, so
+    # that run and run_batch both name their caller's line
+    frame, stacklevel = sys._getframe(1), 2
+    while frame.f_code.co_filename == __file__:
+        frame, stacklevel = frame.f_back, stacklevel + 1
     m = config.matrix.m
     support = config.matrix.matrix > 0.0
     reachable = np.zeros(m, dtype=bool)
@@ -244,7 +255,7 @@ def _warn_unreachable(config: RunConfig) -> None:
                 f"recurrent class {labels} is unreachable from every chain start; "
                 "its components will never update the iterate",
                 UnreachableClassWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
 
 
@@ -265,33 +276,6 @@ def start_chains(config: RunConfig) -> list[ChainRuntime]:
             ChainRuntime(state=state, noise_rng=np.random.default_rng(noise_seq))
         )
     return runtimes
-
-
-def step_once(x, chains: list[ChainRuntime], config: RunConfig, k: int, lam=None) -> np.ndarray:
-    """One averaged subgradient step: advance chains, update, project.
-
-    All chains move first; each then takes a step from the shared x
-    using its landing component's subgradient plus a fresh noise draw,
-    and the projected average of the per-chain results is returned.
-    lam overrides the schedule when given (zero makes this a no-op).
-    """
-    if lam is None:
-        lam = stepsize(config.schedule, k)
-    comps = config.problem.components
-    scale = config.subgradient_scale
-    noise = config.noise
-    n = config.problem.n
-    sub = np.empty((len(chains), n))
-    for index, runtime in enumerate(chains):
-        markov.step(runtime.state, config.matrix)
-        s = runtime.state.current
-        g = comps[s].subgradient(x)
-        if scale is not None:
-            g = g * scale[s]
-        if noise.kind != "zero":
-            g = g + sample_noise(noise, k + 1, runtime.noise_rng, n)
-        sub[index] = x - lam * g
-    return project(config.problem.feasible, np.mean(sub, axis=0))
 
 
 @dataclass
@@ -436,7 +420,8 @@ def run_batch(configs) -> list[Trace]:
     Work that depends on the iterate runs once per iteration for every
     (run, chain) pair together. Chain walks, noise, objective values,
     best-so-far tracking and recording run once per block of BLOCK
-    iterations, and only the rows the stride records are stored.
+    iterations, and only the rows the stride records are stored, so
+    memory grows with the recorded rows, not with the budget.
     """
     configs = list(configs)
     if not configs:
@@ -462,11 +447,11 @@ def run_batch(configs) -> list[Trace]:
 
     started = time.perf_counter()
     runtimes = [start_chains(config) for config in configs]
-    lam = stepsize_array(first.schedule, K + 1)
-    rec_k = np.zeros(K + 1, dtype=bool)
-    rec_k[0 :: first.stride] = True
-    rec_k[K] = True
-    rec_k = np.flatnonzero(rec_k).astype(np.int64)
+    rec_k = np.arange(0, K + 1, first.stride, dtype=np.int64)
+    if rec_k[-1] != K:
+        rec_k = np.append(rec_k, K)
+    rec_lam = np.empty(len(rec_k))
+    rec_lam[0] = stepsize(first.schedule, 0)
     # one row per run, so each Trace takes its row without a copy
     rec_f = np.empty((S, len(rec_k)))
     rec_best = np.empty((S, len(rec_k)))
@@ -508,12 +493,13 @@ def run_batch(configs) -> list[Trace]:
                         noise, k0 + 1, count, runtime.noise_rng, n
                     )
         states = walked[:count]
-        lams = lam[k0 : k0 + count].tolist()
+        # stepsizes for k0 .. k0 + count: the last is recorded, not applied
+        lams = _stepsizes(first.schedule, k0, count + 1)
         if tables is not None:
             block_rows = rows[states][:, :, :, np.newaxis, :]
             block_offsets = offsets[states]
             block_base = 3 * states + 1
-        for j, lam_j in enumerate(lams):
+        for j, lam_j in enumerate(lams[:count].tolist()):
             if tables is not None:
                 np.matmul(block_rows[j], X_col[j], out=residual)
                 np.subtract(flat_residual, block_offsets[j], out=flat_residual)
@@ -566,10 +552,10 @@ def run_batch(configs) -> list[Trace]:
         rec_f[:, lo:hi] = f[local].T
         rec_best[:, lo:hi] = running[local].T
         rec_states[:, lo:hi] = states[local].swapaxes(0, 1)
+        rec_lam[lo:hi] = lams[local + 1]
         X[0] = X[count]
     wall = (time.perf_counter() - started) / S
 
-    rec_lam = lam[rec_k]
     rec_k.flags.writeable = False
     rec_lam.flags.writeable = False
     return [

@@ -24,7 +24,6 @@ __all__ = [
     "NoiseModel",
     "project",
     "objective",
-    "sample_noise",
     "sample_noise_block",
     "weights_from_chains",
     "make_l1_problem",
@@ -214,31 +213,15 @@ class NoiseModel:
         return self.scale
 
 
-def sample_noise(model: NoiseModel, k: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    """One n-vector error draw for iteration k from the given stream.
-
-    The zero model consumes no draws at all, so enabling it never shifts
-    the stream relative to a noise-free run.
-    """
-    if model.kind == "zero":
-        return np.zeros(n)
-    if model.kind == "uniform_decaying":
-        if k < 1:
-            raise ValueError("uniform_decaying noise needs iteration k >= 1")
-        return rng.random(n) * (1.0 / k)
-    if model.kind == "uniform_scaled":
-        return rng.random(n) * model.scale
-    return rng.standard_normal(n) * model.scale
-
-
 def sample_noise_block(
     model: NoiseModel, first_k: int, count: int, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """Draws for iterations first_k .. first_k + count - 1, one row each.
+    """n-vector error draws for iterations first_k .. first_k + count - 1.
 
-    Bitwise identical to `count` successive sample_noise calls on the
-    same stream: a Generator's batched draws equal its sequential draws,
-    and the per-row scaling repeats the scalar arithmetic exactly.
+    Row t is iteration first_k + t's draw, scaled by 1/k or the model's
+    scale. A Generator's batched draws equal its sequential draws, so
+    blocks of any size give the same rows bit for bit. The zero model
+    consumes no draws, so it never shifts the stream.
     """
     if model.kind == "zero":
         return np.zeros((count, n))

@@ -125,6 +125,40 @@ class TestWeights:
         assert json.loads(proc.stderr)["error"] == "InvalidDistributionError"
 
 
+class TestWeaklyCoupledPair:
+    """[[1-e, e], [e, 1-e]] at e = 1e-4, whose power limit overflows."""
+
+    @pytest.fixture
+    def pair_file(self, tmp_path):
+        e = 1e-4
+        path = tmp_path / "pair.txt"
+        write_matrix_text(validate_stochastic([[1.0 - e, e], [e, 1.0 - e]]), path)
+        return path
+
+    def test_decompose_succeeds(self, pair_file):
+        proc = cli("decompose", "--matrix", str(pair_file))
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {
+            "classes": [[1, 2]], "periods": [1], "transient": [], "delta": 1,
+        }
+
+    def test_weights_succeed(self, pair_file, tmp_path):
+        init = tmp_path / "i.txt"
+        init.write_text("1 0\n")
+        proc = cli("weights", "--matrix", str(pair_file), "--init", str(init))
+        assert proc.returncode == 0
+        weights = np.asarray(json.loads(proc.stdout)["weights"])
+        assert np.max(np.abs(weights - 0.5)) <= 1e-12
+
+    def test_decay_fails_loudly(self, pair_file):
+        # decay needs the power limit itself; numpy's overflow warnings
+        # may precede the JSON error line
+        proc = cli("decay", "--matrix", str(pair_file))
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert err["error"] == "NoConvergenceError"
+
+
 class TestRun:
     def test_tiny_suite(self, tmp_path):
         out = tmp_path / "suite"

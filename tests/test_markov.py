@@ -24,9 +24,9 @@ from chainopt import (
     power_limit,
     read_distribution_text,
     read_matrix_text,
-    step,
     validate_stochastic,
     walk,
+    weights_from_chains,
     write_matrix_text,
 )
 from conftest import (
@@ -171,6 +171,16 @@ class TestDecompose:
         assert [sorted(c) for c in dec.classes] == [[1]]
         assert list(dec.periods) == [1]
         assert list(dec.transient) == [0]
+
+    def test_weakly_coupled_pair_needs_no_power_limit(self):
+        # the power limit of this chain overflows (NoConvergenceError), but
+        # its class, period and weights are easy and must not depend on it
+        e = 1e-4
+        dec = decompose(np.asarray([[1.0 - e, e], [e, 1.0 - e]]))
+        assert dec.classes == ((0, 1),)
+        assert dec.periods == (1,)
+        weights = weights_from_chains([[1.0, 0.0]], dec)
+        assert np.max(np.abs(weights - 0.5)) <= 1e-12
 
     def test_accepts_raw_array(self):
         dec = decompose(np.eye(2))
@@ -319,24 +329,25 @@ class TestCesaroLimit:
 class TestPowerLimit:
     def test_identity(self):
         dec = decompose(np.eye(3))
-        assert np.allclose(dec.power_limit, np.eye(3), atol=1e-14)
+        assert np.allclose(power_limit(np.eye(3), dec.delta), np.eye(3), atol=1e-14)
 
     def test_two_cycle_even_steps(self):
         mat = np.asarray([[0.0, 1.0], [1.0, 0.0]])
         dec = decompose(mat)
         assert dec.delta == 2
-        assert np.allclose(dec.power_limit, np.eye(2), atol=1e-12)
+        assert np.allclose(power_limit(mat, dec.delta), np.eye(2), atol=1e-12)
 
     def test_seven_state_residual(self):
         mat = study_matrix()
         dec = decompose(mat)
         p2 = np.linalg.matrix_power(mat.matrix, dec.delta)
-        assert np.max(np.abs(dec.power_limit @ p2 - dec.power_limit)) <= 1e-10
+        limit = power_limit(mat, dec.delta)
+        assert np.max(np.abs(limit @ p2 - limit)) <= 1e-10
 
     def test_matches_large_power(self, nine_state):
         dec = decompose(nine_state)
         big = np.linalg.matrix_power(nine_state.matrix, dec.delta * 4096)
-        assert np.max(np.abs(dec.power_limit - big)) <= 1e-9
+        assert np.max(np.abs(power_limit(nine_state, dec.delta) - big)) <= 1e-9
 
     def test_no_convergence_raises(self):
         mat = np.asarray([[0.999, 0.001], [0.001, 0.999]])
@@ -348,8 +359,9 @@ class TestPowerLimit:
     def test_idempotent_under_sampled_chain(self, mat):
         dec = decompose(mat)
         p_delta = np.linalg.matrix_power(mat, dec.delta)
-        assert np.max(np.abs(dec.power_limit @ p_delta - dec.power_limit)) <= 1e-10
-        assert np.max(np.abs(dec.power_limit.sum(axis=1) - 1.0)) <= 1e-10
+        limit = power_limit(mat, dec.delta)
+        assert np.max(np.abs(limit @ p_delta - limit)) <= 1e-10
+        assert np.max(np.abs(limit.sum(axis=1) - 1.0)) <= 1e-10
 
 
 # ------------------------------------------------- limiting distributions
@@ -425,11 +437,20 @@ class TestSampling:
         tm = study_matrix()
         a = make_chain(tm, unit_mass(7, 0), np.random.default_rng(42))
         b = make_chain(tm, unit_mass(7, 0), np.random.default_rng(42))
+        cum = np.cumsum(tm.matrix, axis=1)
+        cum[:, -1] = 1.0
+
+        def step():
+            # one inverse-CDF transition on b's row
+            b.current = int(np.searchsorted(cum[b.current], b.rng.random(), side="right"))
+            return b.current
+
         path = walk(a, tm, 500)
-        singles = np.asarray([step(b, tm).current for _ in range(500)])
+        singles = np.asarray([step() for _ in range(500)])
         assert np.array_equal(path, singles)
         # the generators stay in lockstep afterwards
-        assert step(a, tm).current == step(b, tm).current
+        assert walk(a, tm, 1)[0] == step()
+        assert a.rng.random() == b.rng.random()
 
     def test_visit_frequencies_match_limit(self):
         tm = study_matrix()

@@ -1,6 +1,7 @@
 """Tests for the averaged-subgradient loop: schedules, updates, determinism."""
 
 import csv
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -29,8 +30,6 @@ from chainopt import (
     run,
     run_batch,
     save_run_config,
-    start_chains,
-    step_once,
     stepsize,
     stepsize_array,
     thin_trace,
@@ -160,69 +159,46 @@ class TestStepsize:
 
 
 class TestStepOnce:
-    def test_zero_stepsize_is_identity(self):
-        config = cyclic_config(small_problem(), schedule=ConstantStepsize(0.0))
-        chains = start_chains(config)
-        x = config.x0.copy()
-        out = step_once(x, chains, config, 0)
-        assert np.array_equal(out, x)
-
-    def test_lam_override_wins(self):
-        config = cyclic_config(small_problem())
-        chains = start_chains(config)
-        out = step_once(config.x0.copy(), chains, config, 0, lam=0.0)
-        assert np.array_equal(out, config.x0)
+    """The first steps of run(), checked against reference_run."""
 
     def test_moves_downhill_from_interior(self):
-        prob = small_problem()
-        config = cyclic_config(prob, schedule=ConstantStepsize(0.05))
-        chains = start_chains(config)
-        x = np.asarray([2.0, 2.0])
+        config = replace(
+            cyclic_config(small_problem(), budget=2, schedule=ConstantStepsize(0.05)),
+            x0=[2.0, 2.0],
+        )
         # cyclic from state 0 lands on component 1 first: residual
-        # x[1] - 2 = 0 puts us at the kink, so advance once more
-        out = step_once(x, chains, config, 0)
-        out2 = step_once(out, chains, config, 1)
-        assert not np.array_equal(out, out2)
+        # x[1] - 2 = 0 puts us at the kink, so only the second step moves,
+        # down component 2's residual
+        one = run(replace(config, budget=1))
+        two = run(config)
+        assert np.array_equal(one.final_x, config.x0)
+        a, b = config.problem.components[2].a, config.problem.components[2].b
+        assert abs(a @ two.final_x - b) < abs(a @ one.final_x - b)
+        assert_same_trace(two, reference_run(config))
 
     def test_result_stays_feasible(self):
         prob = small_problem()
-        config = cyclic_config(prob, schedule=ConstantStepsize(50.0))
-        chains = start_chains(config)
-        out = step_once(config.x0.copy(), chains, config, 0)
-        assert np.all(out >= prob.feasible.lower - 0.0)
-        assert np.all(out <= prob.feasible.upper + 0.0)
+        config = cyclic_config(prob, budget=5, schedule=ConstantStepsize(50.0))
+        trace = run(config)
+        assert np.all(trace.final_x >= prob.feasible.lower - 0.0)
+        assert np.all(trace.final_x <= prob.feasible.upper + 0.0)
+        assert_same_trace(trace, reference_run(config))
 
     def test_identical_chains_average_to_single(self):
-        # two deterministic chains in lockstep give exactly the one-chain step
+        # two deterministic chains in lockstep give exactly the one-chain steps
         prob = small_problem()
-        cfg1 = cyclic_config(prob, seeds=(0,))
-        cfg2 = cyclic_config(prob, seeds=(0, 1))
-        out1 = step_once(cfg1.x0.copy(), start_chains(cfg1), cfg1, 0)
-        out2 = step_once(cfg2.x0.copy(), start_chains(cfg2), cfg2, 0)
-        assert np.array_equal(out1, out2)
+        one = run(cyclic_config(prob, seeds=(0,)))
+        two = run(cyclic_config(prob, seeds=(0, 1)))
+        assert np.array_equal(one.final_x, two.final_x)
+        assert np.array_equal(one.f, two.f)
 
     def test_loop_matches_run_bitwise(self):
         config = study_config(budget=300)
-        trace = run(config)
-        chains = start_chains(config)
-        x = config.x0.copy()
-        fs = [objective(config.problem, x)]
-        for k in range(config.budget):
-            x = step_once(x, chains, config, k)
-            fs.append(objective(config.problem, x))
-        assert np.array_equal(trace.final_x, x)
-        assert np.allclose(trace.f, np.asarray(fs), rtol=0, atol=1e-12)
+        assert_same_trace(run(config), reference_run(config))
 
     def test_loop_matches_run_states(self):
         config = study_config(budget=120)
-        trace = run(config)
-        chains = start_chains(config)
-        x = config.x0.copy()
-        seen = [[c.state.current for c in chains]]
-        for k in range(config.budget):
-            x = step_once(x, chains, config, k)
-            seen.append([c.state.current for c in chains])
-        assert np.array_equal(trace.states, np.asarray(seen))
+        assert np.array_equal(run(config).states, reference_run(config)["states"])
 
 
 # ------------------------------------------------------------ full runs
@@ -445,8 +421,13 @@ class TestRunValidation:
             x0=np.zeros(2),
             budget=5,
         )
-        with pytest.warns(UnreachableClassWarning):
+        # both entry points attribute the warning to the caller's line
+        with pytest.warns(UnreachableClassWarning) as record:
             run(config)
+        assert record[0].filename == __file__
+        with pytest.warns(UnreachableClassWarning) as record:
+            run_batch([config])
+        assert record[0].filename == __file__
 
     def test_no_warning_when_all_reachable(self):
         config = study_config(budget=5)
@@ -511,7 +492,8 @@ def reference_run(config):
     Each chain's two streams come from SeedSequence(seed, spawn_key=
     (chain index,)).spawn(2); the first picks the start state and every
     transition by inverse CDF, the second draws one noise row per
-    iteration. Only numpy and the config's data are used.
+    iteration. Only numpy and the config's data are used. Covers zero
+    and normal noise and both schedules.
     """
     comps = config.problem.components
     A = np.vstack([c.a for c in comps])
@@ -535,13 +517,19 @@ def reference_run(config):
         walkers.append(walker)
         noises.append(np.random.default_rng(noise_seq))
     sched = config.schedule
+
+    def step_size(k):
+        if isinstance(sched, ConstantStepsize):
+            return sched.lam
+        return sched.a / float(k // sched.block_len + 1) ** sched.xi
+
     x = np.array(config.x0)
     fs = [float(w @ np.abs(A @ x - b))]
     lams = []
     states = [list(current)]
     best_f, best_x, best_k, max_norm = fs[0], x.copy(), 0, 0.0
     for k in range(config.budget):
-        lam = sched.a / float(k // sched.block_len + 1) ** sched.xi
+        lam = step_size(k)
         lams.append(lam)
         subs = []
         for c in range(len(current)):
@@ -565,7 +553,7 @@ def reference_run(config):
         states.append(list(current))
         if f < best_f:
             best_f, best_x, best_k = f, x.copy(), k + 1
-    lams.append(sched.a / float(config.budget // sched.block_len + 1) ** sched.xi)
+    lams.append(step_size(config.budget))
     keep = sorted(set(range(0, config.budget + 1, config.stride)) | {config.budget})
     running = np.minimum.accumulate(np.asarray(fs))
     return {
@@ -648,6 +636,21 @@ class TestRunBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             run_batch([])
+
+    def test_memory_does_not_grow_with_budget(self):
+        # only the recorded rows may grow with the budget; recording just
+        # the first and last iterate, the peak must stay flat
+        run(build_experiment("m1", 5, seed=0, budget=10))
+        peaks = []
+        for budget in (5_000, 25_000):
+            config = replace(build_experiment("m1", 5, seed=0, budget=budget), stride=budget)
+            tracemalloc.start()
+            try:
+                run(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 16_384, peaks
 
 
 # ---------------------------------------------------------------- baselines

@@ -17,7 +17,6 @@ from chainopt import (
     make_l1_problem,
     objective,
     project,
-    sample_noise,
     sample_noise_block,
     save_problem,
     validate_stochastic,
@@ -222,31 +221,31 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel.uniform_decaying().nu(0)
         with pytest.raises(ValueError):
-            sample_noise(NoiseModel.uniform_decaying(), 0, np.random.default_rng(0), 2)
+            sample_noise_block(NoiseModel.uniform_decaying(), 0, 1, np.random.default_rng(0), 2)
 
     def test_zero_consumes_no_draws(self):
         rng_a = np.random.default_rng(11)
         rng_b = np.random.default_rng(11)
-        out = sample_noise(NoiseModel.zero(), 5, rng_a, 6)
-        assert np.array_equal(out, np.zeros(6))
+        out = sample_noise_block(NoiseModel.zero(), 5, 3, rng_a, 6)
+        assert np.array_equal(out, np.zeros((3, 6)))
         # stream untouched: next draws agree with a fresh twin
         assert rng_a.random() == rng_b.random()
 
     def test_decaying_range(self):
         rng = np.random.default_rng(3)
         for k in (1, 2, 10, 1000):
-            draw = sample_noise(NoiseModel.uniform_decaying(), k, rng, 1000)
+            draw = sample_noise_block(NoiseModel.uniform_decaying(), k, 1, rng, 1000)
             assert draw.min() >= 0.0
             assert draw.max() <= 1.0 / k
 
     def test_uniform_scaled_mean(self):
         rng = np.random.default_rng(4)
-        draw = sample_noise(NoiseModel.uniform_scaled(0.1), 1, rng, 100000)
+        draw = sample_noise_block(NoiseModel.uniform_scaled(0.1), 1, 1, rng, 100000)
         assert abs(draw.mean() - 0.05) <= 0.005
 
     def test_normal_scaled_moments(self):
         rng = np.random.default_rng(5)
-        draw = sample_noise(NoiseModel.normal_scaled(0.1), 1, rng, 100000)
+        draw = sample_noise_block(NoiseModel.normal_scaled(0.1), 1, 1, rng, 100000)
         assert abs(draw.mean()) <= 0.002
         assert abs(draw.std() - 0.1) <= 0.002
 
@@ -260,7 +259,7 @@ class TestNoiseModel:
             (NoiseModel.normal_scaled(0.05), 1),
         ]:
             sq = [
-                float(np.sum(sample_noise(model, k, rng, n) ** 2))
+                float(np.sum(sample_noise_block(model, k, 1, rng, n) ** 2))
                 for _ in range(reps)
             ]
             bound = n * model.nu(k) ** 2
@@ -281,9 +280,18 @@ class TestNoiseModel:
         seq_rng = np.random.default_rng(42)
         blk_rng = np.random.default_rng(42)
         first_k, count, n = 7, 33, 5
-        seq = np.stack(
-            [sample_noise(model, k, seq_rng, n) for k in range(first_k, first_k + count)]
-        )
+
+        def row(k):
+            # one iteration's draw, taken alone from the stream
+            if model.kind == "zero":
+                return np.zeros(n)
+            if model.kind == "uniform_decaying":
+                return seq_rng.random(n) * (1.0 / k)
+            if model.kind == "uniform_scaled":
+                return seq_rng.random(n) * model.scale
+            return seq_rng.standard_normal(n) * model.scale
+
+        seq = np.stack([row(k) for k in range(first_k, first_k + count)])
         blk = sample_noise_block(model, first_k, count, blk_rng, n)
         assert np.array_equal(seq, blk)
         # streams remain aligned afterwards
