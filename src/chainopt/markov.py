@@ -5,7 +5,10 @@ transient states, and class periods, and computes the Cesaro
 (time-averaged) limit of the matrix powers that drives chain-weighted
 optimization; it exists even for periodic chains. The plain power limit
 along multiples of the global period, a mixing diagnostic, is computed
-only on request. Also provides seeded trajectory sampling.
+only on request. Also provides seeded trajectory sampling and the
+plain-text matrix format: a line holding the state count m, then m rows
+of m entries, parsed by numpy in C and written without per-entry float
+conversions.
 
 States are 0-based throughout the in-memory API. Text files, JSON
 reports, and error messages use 1-based state labels.
@@ -14,8 +17,10 @@ reports, and error messages use 1-based state labels.
 from __future__ import annotations
 
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,12 +90,14 @@ class InvalidDistributionError(MarkovError):
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Validated row-stochastic matrix with cached sampling tables.
+    """Validated row-stochastic matrix; its sampling tables are built on the first walk.
 
     Construct through validate_stochastic; direct construction runs the
     same checks. The row-wise cumulative sums used for inverse-CDF
-    sampling have their last column pinned to exactly 1.0 so a uniform
-    draw in [0, 1) can never fall past the final state.
+    sampling are computed the first time walk() reads them and kept on
+    the instance; a matrix that is only analysed never builds them.
+    Their last column is pinned to exactly 1.0 so a uniform draw in
+    [0, 1) can never fall past the final state.
     """
 
     matrix: np.ndarray
@@ -112,9 +119,12 @@ class TransitionMatrix:
             raise RowSumError(int(bad[0]) + 1, float(deviations[bad[0]]))
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-        cum = np.cumsum(mat, axis=1)
+
+    @cached_property
+    def _cum_rows(self) -> list[list[float]]:
+        cum = np.cumsum(self.matrix, axis=1)
         cum[:, -1] = 1.0
-        object.__setattr__(self, "_cum_rows", [row.tolist() for row in cum])
+        return [row.tolist() for row in cum]
 
     @property
     def m(self) -> int:
@@ -240,7 +250,10 @@ def decompose(P: TransitionMatrix) -> ChainDecomposition:
     P = _as_transition(P)
     mat = P.matrix
     m = P.m
-    adj = [np.flatnonzero(mat[i] > 0.0).tolist() for i in range(m)]
+    rows, cols = np.nonzero(mat > 0.0)
+    bounds = np.searchsorted(rows, np.arange(m + 1)).tolist()
+    targets = cols.tolist()
+    adj = [targets[bounds[i]:bounds[i + 1]] for i in range(m)]
     classes = []
     transient: list[int] = []
     for comp in _strongly_connected_components(adj):
@@ -360,13 +373,23 @@ def power_limit(P: TransitionMatrix, delta: int, max_squarings: int = 100) -> np
 
     P^delta is aperiodic on each recurrent class, so the squares converge
     geometrically; iteration stops when two successive squares agree
-    entrywise within FIXED_POINT_TOL.
+    entrywise within FIXED_POINT_TOL. Rounding makes the row sums of the
+    squares drift from 1, and on nearly decomposable chains the drift
+    compounds long before the fixed point; as soon as a square's largest
+    row-sum deviation exceeds SOLVE_RESIDUAL_TOL, NoConvergenceError is
+    raised rather than squaring on towards overflow.
     """
     if delta < 1:
         raise ValueError("delta must be at least 1")
     block = np.linalg.matrix_power(_as_transition(P).matrix, delta)
-    for _ in range(max_squarings):
+    for squarings in range(1, max_squarings + 1):
         squared = block @ block
+        drift = float(np.max(np.abs(squared.sum(axis=1) - 1.0)))
+        if not drift <= SOLVE_RESIDUAL_TOL:
+            raise NoConvergenceError(
+                f"power limit left the stochastic matrices at squaring {squarings}: "
+                f"largest row-sum deviation from 1 is {drift:.3e}"
+            )
         if float(np.max(np.abs(squared - block))) <= FIXED_POINT_TOL:
             return squared
         block = squared
@@ -449,28 +472,45 @@ def decomposition_report(decomp: ChainDecomposition) -> dict:
 
 
 def read_matrix_text(path) -> TransitionMatrix:
-    """Parse the plain-text matrix format: a line with m, then m rows."""
+    """Parse the plain-text matrix format: a line with m, then m rows.
+
+    The first line holds the state count m and nothing else. Each of the
+    next m lines holds one row: m floats separated by whitespace. Blank
+    lines are skipped; comments are not allowed. numpy parses the rows
+    in C, without a Python object per entry. Any other
+    layout (data on the first line, ragged or missing rows, a `#` or any
+    other non-numeric token) raises ValueError naming the file; the
+    matrix then goes through validate_stochastic.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ValueError(f"matrix file {path} is empty")
-    m = int(tokens[0])
-    values = tokens[1:]
-    if len(values) != m * m:
+        header = fh.readline()
+        try:
+            m = int(header)
+        except ValueError:
+            raise ValueError(
+                f"matrix file {path}: the first line must hold only the state "
+                f"count m, got {header.strip()!r}"
+            ) from None
+        try:
+            with warnings.catch_warnings():
+                # a file without rows warns; the shape check below rejects it
+                warnings.simplefilter("ignore", UserWarning)
+                mat = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"matrix file {path}: {exc}") from None
+    if mat.shape != (m, m):
         raise ValueError(
-            f"matrix file {path} holds {len(values)} entries, expected {m * m}"
+            f"matrix file {path} holds {mat.size} entries in {mat.shape[0]} rows, "
+            f"expected {m} rows of {m}"
         )
-    mat = np.array([float(v) for v in values], dtype=np.float64).reshape(m, m)
     return validate_stochastic(mat)
 
 
 def write_matrix_text(P: TransitionMatrix, path) -> None:
     """Write the plain-text matrix format with full round-trip precision."""
-    lines = [str(P.m)]
-    for row in P.matrix:
-        lines.append(" ".join(repr(float(v)) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{P.m}\n")
+        fh.writelines(" ".join(map(repr, row.tolist())) + "\n" for row in P.matrix)
 
 
 def read_distribution_text(path, m: int | None = None) -> np.ndarray:

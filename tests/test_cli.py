@@ -71,6 +71,17 @@ class TestDecompose:
         assert err["error"] == "RowSumError"
         assert "row 1" in err["message"]
 
+    def test_rejected_layout_is_json_error(self, tmp_path):
+        path = tmp_path / "commented.txt"
+        path.write_text("2\n# a comment\n0.5 0.5\n0 1\n")
+        proc = cli("decompose", "--matrix", str(path))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert str(path) in err["message"]
+
 
 class TestDecay:
     def test_nine_state_fits(self, nine_state_file):
@@ -151,12 +162,15 @@ class TestWeaklyCoupledPair:
         assert np.max(np.abs(weights - 0.5)) <= 1e-12
 
     def test_decay_fails_loudly(self, pair_file):
-        # decay needs the power limit itself; numpy's overflow warnings
-        # may precede the JSON error line
+        # decay needs the power limit itself, which stops as soon as its
+        # squares drift off the simplex: stderr is the JSON error alone
         proc = cli("decay", "--matrix", str(pair_file))
         assert proc.returncode == 1
-        err = json.loads(proc.stderr.strip().splitlines()[-1])
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
         assert err["error"] == "NoConvergenceError"
+        assert "squaring" in err["message"]
 
 
 class TestRun:

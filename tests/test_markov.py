@@ -1,6 +1,8 @@
 """Tests for finite-chain analysis: validation, decomposition, limits, sampling."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +356,16 @@ class TestPowerLimit:
         with pytest.raises(NoConvergenceError):
             power_limit(mat, 1, max_squarings=1)
 
+    def test_row_sum_drift_raises_before_overflow(self):
+        # the squares of this pair drift off the simplex and, left alone,
+        # overflow; the drift check stops them without a numpy warning
+        e = 1e-4
+        mat = np.asarray([[1.0 - e, e], [e, 1.0 - e]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergenceError, match="squaring [0-9]+:.*deviation"):
+                power_limit(mat, 1)
+
     @settings(max_examples=40, deadline=None)
     @given(stochastic_matrices())
     def test_idempotent_under_sampled_chain(self, mat):
@@ -452,6 +464,17 @@ class TestSampling:
         assert walk(a, tm, 1)[0] == step()
         assert a.rng.random() == b.rng.random()
 
+    def test_sampling_table_built_on_first_walk(self):
+        tm = validate_stochastic(study_matrix().matrix)
+        decompose(tm)
+        assert "_cum_rows" not in tm.__dict__
+        chain = make_chain(tm, unit_mass(7, 0), np.random.default_rng(1))
+        assert "_cum_rows" not in tm.__dict__
+        walk(chain, tm, 3)
+        table = tm.__dict__["_cum_rows"]
+        walk(chain, tm, 3)
+        assert tm.__dict__["_cum_rows"] is table
+
     def test_visit_frequencies_match_limit(self):
         tm = study_matrix()
         dec = decompose(tm)
@@ -512,6 +535,57 @@ class TestTextIO:
         path = tmp_path / "mat.txt"
         write_matrix_text(mat, path)
         assert np.array_equal(read_matrix_text(path).matrix, mat.matrix)
+
+    @pytest.mark.parametrize("which", ["nine", "tiny"])
+    def test_writer_bytes_match_per_entry_repr(self, tmp_path, nine_state, which):
+        tiny = validate_stochastic(
+            [[1.0 - 1e-13, 1e-13, 5e-324], [-0.0, 0.25, 0.75], [0.0, 0.0, 1.0]]
+        )
+        mat = nine_state if which == "nine" else tiny
+        path = tmp_path / "mat.txt"
+        write_matrix_text(mat, path)
+        expected = "\n".join(
+            [str(mat.m)] + [" ".join(repr(float(v)) for v in row) for row in mat.matrix]
+        ) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+        back = read_matrix_text(path).matrix
+        assert back.tobytes() == mat.matrix.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2\n# a comment\n0.5 0.5\n0 1\n",
+            "2\n0.5 0.5\n0 1 0\n",
+            "2 0.5 0.5\n0 1\n",
+            "2\n0.5 half\n0 1\n",
+            "2\n0.5 0.5 0 1\n",
+            "2\n",
+        ],
+        ids=["comment", "ragged", "data-on-header", "non-numeric", "split-row", "no-rows"],
+    )
+    def test_rejected_layout_names_file(self, tmp_path, text):
+        path = tmp_path / "mat.txt"
+        path.write_text(text)
+        # the ValueError is the whole report: no warning goes to stderr
+        with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+            warnings.simplefilter("error")
+            read_matrix_text(path)
+        assert str(path) in str(info.value)
+
+    def test_read_peak_memory_is_a_few_matrices(self, tmp_path):
+        rng = np.random.default_rng(0)
+        raw = rng.random((300, 300))
+        mat = validate_stochastic(raw / raw.sum(axis=1, keepdims=True))
+        path = tmp_path / "mat.txt"
+        write_matrix_text(mat, path)
+        tracemalloc.start()
+        try:
+            back = read_matrix_text(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.matrix, mat.matrix)
+        assert peak < 3 * mat.matrix.nbytes, peak / mat.matrix.nbytes
 
 
 class TestReport:
