@@ -9,7 +9,6 @@ objective, seeded reproducible runs, and a benchmark study harness.
 """
 
 from .markov import (
-    FIXED_POINT_TOL,
     ROW_SUM_TOL,
     SOLVE_RESIDUAL_TOL,
     ChainDecomposition,
@@ -22,7 +21,6 @@ from .markov import (
     SingularSolveError,
     TransitionMatrix,
     cesaro_limit,
-    cesaro_limit_oracle,
     decompose,
     decomposition_report,
     limiting_distribution,
@@ -39,12 +37,10 @@ from .problems import (
     ConvexSumProblem,
     L1Component,
     NoiseModel,
-    load_problem,
     make_l1_problem,
     objective,
     project,
     sample_noise_block,
-    save_problem,
     weights_from_chains,
 )
 from .optimizer import (
@@ -57,19 +53,19 @@ from .optimizer import (
     RunConfig,
     Trace,
     UnreachableClassWarning,
-    load_run_config,
     make_baseline,
     parse_trace_csv,
     run,
     run_batch,
-    save_run_config,
     start_chains,
     stepsize,
-    stepsize_array,
     thin_trace,
     write_trace_csv,
 )
 from .harness import (
+    CROSSING_THRESHOLDS,
+    METHODS,
+    TESTS,
     DecayFit,
     DecayReport,
     DegenerateFitError,

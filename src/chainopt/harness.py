@@ -24,7 +24,6 @@ from .optimizer import (
     ConstantStepsize,
     DiminishingBlockStepsize,
     RunConfig,
-    _schedule_to_json,
     run_batch,
     thin_trace,
     write_trace_csv,
@@ -45,6 +44,7 @@ __all__ = [
     "study_matrix",
     "study_design",
     "study_weights",
+    "study_chain_starts",
     "noise_for_test",
     "default_schedule",
     "build_experiment",
@@ -328,6 +328,19 @@ def _quartiles(values):
     return float(q25), float(q50), float(q75)
 
 
+def _schedule_to_json(schedule) -> dict:
+    if isinstance(schedule, ConstantStepsize):
+        return {"kind": "constant", "lam": schedule.lam}
+    if isinstance(schedule, DiminishingBlockStepsize):
+        return {
+            "kind": "diminishing_block",
+            "a": schedule.a,
+            "xi": schedule.xi,
+            "block_len": schedule.block_len,
+        }
+    raise ValueError(f"cannot serialize schedule {type(schedule).__name__}")
+
+
 def run_suite(spec: ExperimentSpec) -> dict:
     """Run every seed of the spec, write traces and a summary JSON.
 
@@ -463,20 +476,23 @@ def _fit_decay(ks: np.ndarray, values: np.ndarray, floor: float):
 def decay_diagnostic(P: TransitionMatrix, k_max: int = 50) -> DecayReport:
     """Measure how fast P^(delta k) approaches power_limit(P, delta).
 
-    Computes the induced max-row-sum norm of the difference for
-    k = 1..k_max and fits a geometric decay to the points above the
-    rounding floor k_max * m * eps: each of the k_max products of an
-    m-state matrix can add about m * eps to a row sum, so smaller values
-    are rounding, not decay. When the chain has transient states, the
-    worst-case transient occupation mass over all deterministic starts
-    is fitted the same way. Raises DegenerateFitError when the matrix
-    decay has nothing to fit (the power already equals its limit).
+    That limit is the Cesaro limit of P^delta; on an aperiodic chain
+    (delta = 1) it is the Cesaro limit decompose returns. Computes the
+    induced max-row-sum norm of the difference for k = 1..k_max and
+    fits a geometric decay to the points above the rounding floor
+    k_max * m * eps: each of the k_max products of an m-state matrix can
+    add about m * eps to a row sum, so smaller values are rounding, not
+    decay. When the chain has transient states, the worst-case transient
+    occupation mass over all deterministic starts is fitted the same way.
+    Raises DegenerateFitError when the matrix decay has nothing to fit
+    (the power already equals its limit).
     """
     if k_max < 5:
         raise ValueError(f"k_max must be at least 5, got {k_max}")
     decomp = decompose(P)
     block = np.linalg.matrix_power(P.matrix, decomp.delta)
-    limit = power_limit(P, decomp.delta)
+    # P^1 is P, whose limit decompose has already computed
+    limit = decomp.cesaro if decomp.delta == 1 else power_limit(P, decomp.delta)
     t_idx = np.asarray(decomp.transient, dtype=np.int64)
     ks = np.arange(1, k_max + 1)
     norms = np.empty(k_max)

@@ -5,10 +5,10 @@ transient states, and class periods, and computes the Cesaro
 (time-averaged) limit of the matrix powers that drives chain-weighted
 optimization; it exists even for periodic chains. The plain power limit
 along multiples of the global period, a mixing diagnostic, is computed
-only on request. Also provides seeded trajectory sampling and the
-plain-text matrix format: a line holding the state count m, then m rows
-of m entries, parsed by numpy in C and written without per-entry float
-conversions.
+only on request, as the Cesaro limit of P^delta. Also provides seeded
+trajectory sampling and the plain-text matrix format: a line holding
+the state count m, then m rows of m entries, parsed by numpy in C and
+written without per-entry float conversions.
 
 States are 0-based throughout the in-memory API. Text files, JSON
 reports, and error messages use 1-based state labels.
@@ -37,7 +37,6 @@ __all__ = [
     "validate_stochastic",
     "decompose",
     "cesaro_limit",
-    "cesaro_limit_oracle",
     "power_limit",
     "limiting_distribution",
     "make_chain",
@@ -46,10 +45,11 @@ __all__ = [
     "read_matrix_text",
     "write_matrix_text",
     "read_distribution_text",
+    "ROW_SUM_TOL",
+    "SOLVE_RESIDUAL_TOL",
 ]
 
 ROW_SUM_TOL = 1e-12
-FIXED_POINT_TOL = 1e-12
 SOLVE_RESIDUAL_TOL = 1e-10
 
 
@@ -81,7 +81,10 @@ class SingularSolveError(MarkovError):
 
 
 class NoConvergenceError(MarkovError):
-    """Power iteration hit its cap before reaching the fixed point."""
+    """No longer raised: power_limit has no iteration to cap.
+
+    Kept, with its place under MarkovError, for callers that catch it.
+    """
 
 
 class InvalidDistributionError(MarkovError):
@@ -339,63 +342,22 @@ def cesaro_limit(
     return out
 
 
-def cesaro_limit_oracle(P: TransitionMatrix, horizon: int) -> np.ndarray:
-    """Average of the first `horizon` powers of P, starting at the identity.
+def power_limit(P: TransitionMatrix, delta: int) -> np.ndarray:
+    """Limit of P^(delta k) as k grows: the Cesaro limit of P^delta.
 
-    Serves as an independent check on cesaro_limit: it touches no class
-    structure and no linear solves, only matrix products. The partial
-    sums S(n) = I + P + ... + P^(n-1) follow S(2t) = S(t) + P^t S(t) and
-    S(2t+1) = I + P S(2t), so the cost is logarithmic in the horizon.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    P = _as_transition(P)
-    mat = P.matrix
-    eye = np.eye(P.m)
-
-    def partial(n: int) -> tuple[np.ndarray, np.ndarray]:
-        if n == 1:
-            return eye.copy(), mat.copy()
-        half, half_pow = partial(n // 2)
-        total = half + half_pow @ half
-        total_pow = half_pow @ half_pow
-        if n % 2:
-            total = eye + mat @ total
-            total_pow = mat @ total_pow
-        return total, total_pow
-
-    total, _ = partial(horizon)
-    return total / horizon
-
-
-def power_limit(P: TransitionMatrix, delta: int, max_squarings: int = 100) -> np.ndarray:
-    """Limit of P^(delta k) by repeated squaring of P^delta.
-
-    P^delta is aperiodic on each recurrent class, so the squares converge
-    geometrically; iteration stops when two successive squares agree
-    entrywise within FIXED_POINT_TOL. Rounding makes the row sums of the
-    squares drift from 1, and on nearly decomposable chains the drift
-    compounds long before the fixed point; as soon as a square's largest
-    row-sum deviation exceeds SOLVE_RESIDUAL_TOL, NoConvergenceError is
-    raised rather than squaring on towards overflow.
+    delta must be a multiple of every class period (decompose's delta
+    is the least such). P^delta then has the same transient states as
+    P, and its recurrent classes are the cyclic subclasses of P's, all
+    aperiodic, so its powers converge to its Cesaro limit, which
+    decompose computes exactly. The rows of P^delta are divided by their
+    sums first: P's rows may be 1e-12 off, and that slack grows with
+    delta past what validation accepts.
     """
     if delta < 1:
         raise ValueError("delta must be at least 1")
     block = np.linalg.matrix_power(_as_transition(P).matrix, delta)
-    for squarings in range(1, max_squarings + 1):
-        squared = block @ block
-        drift = float(np.max(np.abs(squared.sum(axis=1) - 1.0)))
-        if not drift <= SOLVE_RESIDUAL_TOL:
-            raise NoConvergenceError(
-                f"power limit left the stochastic matrices at squaring {squarings}: "
-                f"largest row-sum deviation from 1 is {drift:.3e}"
-            )
-        if float(np.max(np.abs(squared - block))) <= FIXED_POINT_TOL:
-            return squared
-        block = squared
-    raise NoConvergenceError(
-        f"power limit did not reach a fixed point within {max_squarings} squarings"
-    )
+    block = block / block.sum(axis=1, keepdims=True)
+    return decompose(block).cesaro
 
 
 def _check_distribution(dist, m: int) -> np.ndarray:

@@ -14,23 +14,19 @@ order can shift a draw.
 from __future__ import annotations
 
 import csv
-import json
 import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import markov
 from .markov import ChainDecomposition, ChainState, TransitionMatrix
 from .problems import (
-    Box,
     ConvexSumProblem,
     L1Component,
     NoiseModel,
-    make_l1_problem,
     objective,
     project,
     sample_noise_block,
@@ -47,7 +43,6 @@ __all__ = [
     "RunConfig",
     "Trace",
     "stepsize",
-    "stepsize_array",
     "start_chains",
     "run_batch",
     "run",
@@ -55,8 +50,6 @@ __all__ = [
     "thin_trace",
     "write_trace_csv",
     "parse_trace_csv",
-    "save_run_config",
-    "load_run_config",
 ]
 
 # Iterations per block: chain walks, noise draws, objective values and
@@ -124,11 +117,6 @@ def stepsize(schedule, k: int) -> float:
         return schedule.lam
     block = k // schedule.block_len
     return schedule.a / float(block + 1) ** schedule.xi
-
-
-def stepsize_array(schedule, count: int) -> np.ndarray:
-    """First `count` stepsizes, bitwise equal to scalar stepsize() calls."""
-    return _stepsizes(schedule, 0, count)
 
 
 def _stepsizes(schedule, start: int, count: int) -> np.ndarray:
@@ -689,110 +677,3 @@ def parse_trace_csv(path) -> dict:
         "lam": np.asarray(lams),
         "states": np.asarray(states, dtype=np.int64),
     }
-
-
-def _schedule_to_json(schedule) -> dict:
-    if isinstance(schedule, ConstantStepsize):
-        return {"kind": "constant", "lam": schedule.lam}
-    if isinstance(schedule, DiminishingBlockStepsize):
-        return {
-            "kind": "diminishing_block",
-            "a": schedule.a,
-            "xi": schedule.xi,
-            "block_len": schedule.block_len,
-        }
-    raise ValueError(f"cannot serialize schedule {type(schedule).__name__}")
-
-
-def _schedule_from_json(payload: dict):
-    if payload["kind"] == "constant":
-        return ConstantStepsize(lam=float(payload["lam"]))
-    if payload["kind"] == "diminishing_block":
-        return DiminishingBlockStepsize(
-            a=float(payload["a"]),
-            xi=float(payload["xi"]),
-            block_len=int(payload["block_len"]),
-        )
-    raise ValueError(f"unknown schedule kind {payload['kind']!r}")
-
-
-def save_run_config(config: RunConfig, path, matrix_file=None) -> None:
-    """Serialize a run configuration to JSON.
-
-    The transition matrix is stored inline unless matrix_file names a
-    text file to write it to, in which case the JSON keeps a relative
-    reference. Only all-L1 problems serialize.
-    """
-    path = Path(path)
-    if matrix_file is None:
-        matrix_payload = [[float(v) for v in row] for row in config.matrix.matrix]
-    else:
-        matrix_path = Path(matrix_file)
-        markov.write_matrix_text(config.matrix, matrix_path)
-        matrix_payload = {"file": str(matrix_path.name)}
-    components = []
-    for comp in config.problem.components:
-        if not isinstance(comp, L1Component):
-            raise ValueError("only absolute-residual problems serialize to JSON")
-        components.append(
-            {"a": [float(v) for v in comp.a], "b": comp.b}
-        )
-    payload = {
-        "matrix": matrix_payload,
-        "chains": [
-            {"init": [float(v) for v in spec.init_dist], "seed": int(spec.seed)}
-            for spec in config.chains
-        ],
-        "schedule": _schedule_to_json(config.schedule),
-        "noise": {"kind": config.noise.kind, "scale": config.noise.scale},
-        "problem": {
-            "n": config.problem.n,
-            "components": components,
-            "lower": [float(v) for v in config.problem.feasible.lower],
-            "upper": [float(v) for v in config.problem.feasible.upper],
-            "weights": [float(v) for v in config.problem.weights],
-        },
-        "x0": [float(v) for v in config.x0],
-        "budget": config.budget,
-        "stride": config.stride,
-        "subgradient_scale": (
-            None
-            if config.subgradient_scale is None
-            else [float(v) for v in config.subgradient_scale]
-        ),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def load_run_config(path) -> RunConfig:
-    """Rebuild a RunConfig from JSON; the decomposition is recomputed."""
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if isinstance(payload["matrix"], dict):
-        matrix = markov.read_matrix_text(path.parent / payload["matrix"]["file"])
-    else:
-        matrix = markov.validate_stochastic(np.asarray(payload["matrix"]))
-    prob = payload["problem"]
-    A = np.vstack([np.asarray(c["a"], dtype=np.float64) for c in prob["components"]])
-    b = np.asarray([c["b"] for c in prob["components"]], dtype=np.float64)
-    box = Box(np.asarray(prob["lower"]), np.asarray(prob["upper"]))
-    problem = make_l1_problem(A, b, box, np.asarray(prob["weights"]))
-    scale = payload.get("subgradient_scale")
-    return RunConfig(
-        problem=problem,
-        matrix=matrix,
-        decomp=markov.decompose(matrix),
-        chains=tuple(
-            ChainSpec(init_dist=np.asarray(c["init"], dtype=np.float64), seed=int(c["seed"]))
-            for c in payload["chains"]
-        ),
-        schedule=_schedule_from_json(payload["schedule"]),
-        noise=NoiseModel(payload["noise"]["kind"], float(payload["noise"]["scale"])),
-        x0=np.asarray(payload["x0"], dtype=np.float64),
-        budget=int(payload["budget"]),
-        stride=int(payload["stride"]),
-        subgradient_scale=None if scale is None else np.asarray(scale, dtype=np.float64),
-    )

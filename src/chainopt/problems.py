@@ -10,7 +10,6 @@ weights from chain limit distributions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,6 @@ __all__ = [
     "sample_noise_block",
     "weights_from_chains",
     "make_l1_problem",
-    "save_problem",
-    "load_problem",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
@@ -173,9 +170,10 @@ class NoiseModel:
 
     kind "zero" adds nothing; "uniform_decaying" draws from U(0, 1/k) at
     iteration k; "uniform_scaled" from scale * U(0, 1); "normal_scaled"
-    from scale * N(0, 1). nu(k) is the per-coordinate second-moment
-    bound; it is summable after multiplication by a diminishing stepsize
-    only for the first two kinds.
+    from scale * N(0, 1). Each coordinate's second moment is at most
+    nu_k^2, with nu_k = 0, 1/k, scale and scale for the four kinds; the
+    stepsize times nu_k is summable under a diminishing stepsize only
+    for the first two.
     """
 
     kind: str
@@ -202,15 +200,6 @@ class NoiseModel:
     @classmethod
     def normal_scaled(cls, scale: float) -> "NoiseModel":
         return cls("normal_scaled", scale)
-
-    def nu(self, k: int) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "uniform_decaying":
-            if k < 1:
-                raise ValueError("uniform_decaying noise needs iteration k >= 1")
-            return 1.0 / k
-        return self.scale
 
 
 def sample_noise_block(
@@ -262,54 +251,3 @@ def make_l1_problem(A, b, box: Box, weights) -> ConvexSumProblem:
         )
     comps = tuple(L1Component(A[i], float(b[i])) for i in range(A.shape[0]))
     return ConvexSumProblem(n=A.shape[1], components=comps, feasible=box, weights=weights)
-
-
-def save_problem(problem: ConvexSumProblem, path) -> None:
-    """Write the sparse-row problem file (1-based indices, L1 components only)."""
-    rows = []
-    offsets = []
-    for i, comp in enumerate(problem.components):
-        if not isinstance(comp, L1Component):
-            raise ValueError(
-                f"component {i + 1} is {type(comp).__name__}; only absolute-residual "
-                "components have a file form"
-            )
-        entries = [
-            [int(j) + 1, float(comp.a[j])] for j in np.flatnonzero(comp.a != 0.0)
-        ]
-        rows.append({"i": i + 1, "entries": entries})
-        offsets.append(float(comp.b))
-    payload = {
-        "n": problem.n,
-        "rows": rows,
-        "b": offsets,
-        "lower": [float(v) for v in problem.feasible.lower],
-        "upper": [float(v) for v in problem.feasible.upper],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def load_problem(path, weights) -> ConvexSumProblem:
-    """Read the sparse-row problem file; weights are supplied by the caller.
-
-    Weights come from chain analysis rather than the problem data, so the
-    file format deliberately omits them.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    n = int(payload["n"])
-    count = len(payload["rows"])
-    A = np.zeros((count, n))
-    seen = set()
-    for row in payload["rows"]:
-        i = int(row["i"]) - 1
-        if i < 0 or i >= count or i in seen:
-            raise ValueError(f"bad or repeated row index {row['i']!r}")
-        seen.add(i)
-        for j, value in row["entries"]:
-            A[i, int(j) - 1] = float(value)
-    b = np.asarray(payload["b"], dtype=np.float64)
-    box = Box(np.asarray(payload["lower"]), np.asarray(payload["upper"]))
-    return make_l1_problem(A, b, box, weights)

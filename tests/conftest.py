@@ -40,6 +40,46 @@ def unit_mass(m, state):
     return vec
 
 
+def coupled_blocks(e, block):
+    """Two uniform blocks of `block` states, each leaking e to the other.
+
+    P^k approaches the uniform matrix exactly as (1 - 2e)^k; one-state
+    blocks give the pair [[1-e, e], [e, 1-e]].
+    """
+    mat = np.full((2 * block, 2 * block), e / block)
+    mat[:block, :block] = (1.0 - e) / block
+    mat[block:, block:] = (1.0 - e) / block
+    return mat
+
+
+def cesaro_limit_oracle(mat, horizon: int) -> np.ndarray:
+    """Average of the first `horizon` powers of mat, starting at the identity.
+
+    An independent check on cesaro_limit: it touches no class structure
+    and no linear solves, only matrix products. The partial sums
+    S(n) = I + P + ... + P^(n-1) follow S(2t) = S(t) + P^t S(t) and
+    S(2t+1) = I + P S(2t), so the cost is logarithmic in the horizon.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    mat = np.asarray(mat, dtype=np.float64)
+    eye = np.eye(mat.shape[0])
+
+    def partial(n: int) -> tuple[np.ndarray, np.ndarray]:
+        if n == 1:
+            return eye.copy(), mat.copy()
+        half, half_pow = partial(n // 2)
+        total = half + half_pow @ half
+        total_pow = half_pow @ half_pow
+        if n % 2:
+            total = eye + mat @ total
+            total_pow = mat @ total_pow
+        return total, total_pow
+
+    total, _ = partial(horizon)
+    return total / horizon
+
+
 @st.composite
 def stochastic_matrices(draw, max_m=8):
     """Dense-ish random row-stochastic matrices from small integer weights."""

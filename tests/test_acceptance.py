@@ -30,7 +30,6 @@ from chainopt import (
     NoiseModel,
     RunConfig,
     build_experiment,
-    cesaro_limit_oracle,
     decay_diagnostic,
     decompose,
     first_crossings,
@@ -46,7 +45,7 @@ from chainopt import (
     weights_from_chains,
     write_trace_csv,
 )
-from conftest import NINE_STATE_ROWS, unit_mass
+from conftest import NINE_STATE_ROWS, cesaro_limit_oracle, unit_mass
 
 REFERENCE_WEIGHTS = [0.121, 0.129, 0.043, 0.206, 0.213, 0.203, 0.083]
 
@@ -134,7 +133,7 @@ def test_criterion_04_cesaro_agrees_with_power_averaging_oracle():
     for index in range(50):
         tm = validate_stochastic(_corpus_matrix(rng, index))
         dec = decompose(tm)
-        oracle = cesaro_limit_oracle(tm, 100_000 * dec.delta)
+        oracle = cesaro_limit_oracle(tm.matrix, 100_000 * dec.delta)
         worst_oracle = max(worst_oracle, float(np.max(np.abs(dec.cesaro - oracle))))
         worst_fixed = max(
             worst_fixed, float(np.max(np.abs(dec.cesaro @ tm.matrix - dec.cesaro)))

@@ -29,7 +29,7 @@ from chainopt import (
 )
 from chainopt.harness import CROSSING_THRESHOLDS, SCHEDULE_BLOCK
 
-from conftest import NINE_STATE_ROWS
+from conftest import NINE_STATE_ROWS, coupled_blocks
 
 
 # ------------------------------------------------------------ experiments
@@ -302,13 +302,16 @@ class TestDecayDiagnostic:
         # two uniform 50-state blocks coupled by e decay exactly as
         # (1 - 2e)^k; past k = 32 the norms are rounding, near 5e-13, and
         # fitting them drags beta_hat down to about 0.71
-        e, block = 0.288, 50
-        mat = np.full((2 * block, 2 * block), e / block)
-        mat[:block, :block] = (1.0 - e) / block
-        mat[block:, block:] = (1.0 - e) / block
-        report = decay_diagnostic(validate_stochastic(mat), k_max=50)
+        e = 0.288
+        report = decay_diagnostic(validate_stochastic(coupled_blocks(e, 50)), k_max=50)
         exact = -np.log(1.0 - 2.0 * e)
         assert report.matrix.beta_hat == pytest.approx(exact, rel=0.01)
+
+    @pytest.mark.parametrize("e, block", [(1e-4, 1), (1e-6, 50)], ids=["pair-1e-4", "blocks-1e-6"])
+    def test_weakly_coupled_rate_is_exact(self, e, block):
+        # P^k approaches the uniform limit exactly as (1 - 2e)^k
+        report = decay_diagnostic(validate_stochastic(coupled_blocks(e, block)))
+        assert report.matrix.beta_hat == pytest.approx(-np.log1p(-2.0 * e), rel=1e-6)
 
     def test_identity_degenerate(self):
         with pytest.raises(DegenerateFitError):

@@ -22,21 +22,19 @@ from chainopt import (
     UnreachableClassWarning,
     build_experiment,
     decompose,
-    load_run_config,
     make_baseline,
     make_l1_problem,
     objective,
     parse_trace_csv,
     run,
     run_batch,
-    save_run_config,
     stepsize,
-    stepsize_array,
     thin_trace,
     validate_stochastic,
     write_trace_csv,
 )
 from chainopt.harness import NEIGHBOR_SETS, study_design, study_weights
+from chainopt.optimizer import BLOCK, _stepsizes
 
 from conftest import unit_mass
 
@@ -132,21 +130,23 @@ class TestStepsize:
         st.floats(0.67, 1.0),
         st.integers(1, 7),
         st.integers(1, 300),
+        st.one_of(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]), st.integers(0, 3 * BLOCK)),
     )
-    def test_array_matches_scalar_bitwise(self, a, xi, block_len, count):
+    def test_array_matches_scalar_bitwise(self, a, xi, block_len, count, start):
+        # the engine asks for one engine block of stepsizes at a time
         sched = DiminishingBlockStepsize(a, xi, block_len)
-        arr = stepsize_array(sched, count)
+        arr = _stepsizes(sched, start, count)
         assert arr.shape == (count,)
-        for k in range(count):
-            assert arr[k] == stepsize(sched, k)
+        for t in range(count):
+            assert arr[t] == stepsize(sched, start + t)
 
     def test_array_constant(self):
-        arr = stepsize_array(ConstantStepsize(0.5), 7)
+        arr = _stepsizes(ConstantStepsize(0.5), BLOCK + 1, 7)
         assert np.array_equal(arr, np.full(7, 0.5))
 
     def test_block_constancy(self):
         sched = DiminishingBlockStepsize(3.0, 0.8, 5)
-        arr = stepsize_array(sched, 50)
+        arr = _stepsizes(sched, 0, 50)
         for start in range(0, 50, 5):
             block = arr[start : start + 5]
             assert np.all(block == block[0])
@@ -287,7 +287,7 @@ class TestRun:
     def test_diminishing_lambda_recorded(self):
         sched = DiminishingBlockStepsize(2.0, 0.7, 2)
         trace = run(study_config(budget=100, schedule=sched))
-        assert np.array_equal(trace.lam, stepsize_array(sched, 101))
+        assert np.array_equal(trace.lam, [stepsize(sched, k) for k in range(101)])
 
     def test_wall_time_positive(self):
         trace = run(study_config(budget=50))
@@ -773,41 +773,3 @@ class TestTraceIO:
         assert thin.best_f[-1] == trace.best_f[-1]
         with pytest.raises(ValueError):
             thin_trace(trace, 0)
-
-
-class TestConfigIO:
-    def test_round_trip_reruns_identically(self, tmp_path):
-        config = study_config(budget=250)
-        path = tmp_path / "config.json"
-        save_run_config(config, path)
-        loaded = load_run_config(path)
-        t1 = run(config)
-        t2 = run(loaded)
-        assert np.array_equal(t1.f, t2.f)
-        assert np.array_equal(t1.states, t2.states)
-        assert np.array_equal(t1.final_x, t2.final_x)
-
-    def test_matrix_file_reference(self, tmp_path):
-        config = study_config(budget=50)
-        path = tmp_path / "config.json"
-        save_run_config(config, path, matrix_file=tmp_path / "chain.txt")
-        assert (tmp_path / "chain.txt").exists()
-        loaded = load_run_config(path)
-        assert np.array_equal(loaded.matrix.matrix, config.matrix.matrix)
-
-    def test_scale_and_constant_schedule_survive(self, tmp_path):
-        prob = small_problem()
-        config = cyclic_config(
-            prob,
-            budget=40,
-            schedule=ConstantStepsize(0.025),
-            scale=np.asarray([0.5, 0.5, 0.0]),
-        )
-        path = tmp_path / "config.json"
-        save_run_config(config, path)
-        loaded = load_run_config(path)
-        assert isinstance(loaded.schedule, ConstantStepsize)
-        assert loaded.schedule.lam == 0.025
-        assert np.array_equal(loaded.subgradient_scale, config.subgradient_scale)
-        t1, t2 = run(config), run(loaded)
-        assert np.array_equal(t1.final_x, t2.final_x)
