@@ -12,10 +12,7 @@ Examples:
 
 import argparse
 
-from chainopt import ExperimentSpec, run_suite
-
-METHODS = ("m1", "m2", "m3", "m4")
-TESTS = (1, 2, 3, 4, 5, 6)
+from chainopt import METHODS, TESTS, ExperimentSpec, run_suite
 
 
 def parse_args():

@@ -44,6 +44,7 @@ from .problems import (
     weights_from_chains,
 )
 from .optimizer import (
+    CROSSING_THRESHOLDS,
     ChainRuntime,
     ChainSpec,
     ConstantStepsize,
@@ -63,7 +64,6 @@ from .optimizer import (
     write_trace_csv,
 )
 from .harness import (
-    CROSSING_THRESHOLDS,
     METHODS,
     TESTS,
     DecayFit,

@@ -479,5 +479,8 @@ def read_distribution_text(path, m: int | None = None) -> np.ndarray:
     """Parse a whitespace-separated probability vector from a text file."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
-    vec = np.array([float(t) for t in tokens], dtype=np.float64)
+    try:
+        vec = np.array([float(t) for t in tokens], dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"distribution file {path}: {exc}") from None
     return _check_distribution(vec, vec.shape[0] if m is None else m)

@@ -36,6 +36,7 @@ __all__ = [
     "InvalidParametersError",
     "InvalidNeighborsError",
     "UnreachableClassWarning",
+    "CROSSING_THRESHOLDS",
     "DiminishingBlockStepsize",
     "ConstantStepsize",
     "ChainSpec",
@@ -60,6 +61,8 @@ BLOCK = 512
 NOISE_BLOCK = BLOCK
 # Rows per slice when writing a trace CSV.
 CSV_CHUNK = 1024
+# Each run records the first iterate whose best-so-far f is below each.
+CROSSING_THRESHOLDS = (1e-2, 1e-3, 1e-4, 1e-6)
 
 
 class InvalidParametersError(ValueError):
@@ -274,11 +277,13 @@ class Trace:
     with it; states holds the 0-based chain states at each recorded
     iterate, one column per chain. best_f is tracked on every iteration
     even when the recording stride skips some, and best_x/best_k point
-    at the overall best iterate. max_subgradient_norm is the largest
-    scaled subgradient norm actually applied during the run. wall_time_s
-    is the run's wall time; for a run_batch of S configs it is the
-    batch's wall time divided by S. The traces of one batch share their
-    k and lam arrays, which are read-only.
+    at the overall best iterate. crossings holds the first iterate (or
+    None) whose best_f is below each of CROSSING_THRESHOLDS, exact at
+    any stride. max_subgradient_norm is the largest scaled subgradient
+    norm applied during the run. wall_time_s is the run's wall time; for
+    a run_batch of S configs it is the batch's wall time divided by S.
+    The traces of one batch share their k and lam arrays, which are
+    read-only.
     """
 
     k: np.ndarray
@@ -291,6 +296,7 @@ class Trace:
     best_k: int
     wall_time_s: float
     max_subgradient_norm: float
+    crossings: tuple[int | None, ...]
 
     def __len__(self) -> int:
         return int(self.k.shape[0])
@@ -407,9 +413,9 @@ def run_batch(configs) -> list[Trace]:
 
     Work that depends on the iterate runs once per iteration for every
     (run, chain) pair together. Chain walks, noise, objective values,
-    best-so-far tracking and recording run once per block of BLOCK
-    iterations, and only the rows the stride records are stored, so
-    memory grows with the recorded rows, not with the budget.
+    best-so-far tracking, first crossings and recording run once per
+    block of BLOCK iterations, and only the rows the stride records are
+    stored, so memory grows with the recorded rows, not with the budget.
     """
     configs = list(configs)
     if not configs:
@@ -458,6 +464,8 @@ def run_batch(configs) -> list[Trace]:
     rec_best[:, 0] = best_f
     best_x = X[0].copy()
     best_k = np.zeros(S, dtype=np.int64)
+    # crossed[s, t]: first k with best-so-far f below threshold t, or -1
+    crossed = np.where(best_f[:, np.newaxis] < CROSSING_THRESHOLDS, 0, -1)
     max_norm = np.zeros(S)
 
     walked = np.empty((BLOCK, S, M), dtype=np.int64)
@@ -534,6 +542,10 @@ def run_batch(configs) -> list[Trace]:
             best_k[s] = k0 + 1 + j
             best_x[s] = X[j + 1, s]
         best_f = running[-1].copy()
+        # running never rises, so the rows not below a threshold come first
+        pending = (crossed < 0) & (best_f[:, np.newaxis] < CROSSING_THRESHOLDS)
+        below = (running[:, :, np.newaxis] < CROSSING_THRESHOLDS).sum(axis=0)
+        crossed[pending] = k0 + 1 + count - below[pending]
         lo = np.searchsorted(rec_k, k0 + 1)
         hi = np.searchsorted(rec_k, k0 + count, side="right")
         local = rec_k[lo:hi] - (k0 + 1)
@@ -558,6 +570,7 @@ def run_batch(configs) -> list[Trace]:
             best_k=int(best_k[s]),
             wall_time_s=wall,
             max_subgradient_norm=float(max_norm[s]),
+            crossings=tuple(None if k < 0 else k for k in crossed[s].tolist()),
         )
         for s in range(S)
     ]
@@ -661,9 +674,9 @@ def parse_trace_csv(path) -> dict:
     ks, fs, bests, lams, states = [], [], [], [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header != ["k", "f", "best_f", "lambda", "states"]:
-            raise ValueError(f"unexpected trace header {header!r}")
+            raise ValueError(f"trace file {path}: unexpected header {header!r}")
         for row in reader:
             ks.append(int(row[0]))
             fs.append(float(row[1]))

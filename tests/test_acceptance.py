@@ -242,19 +242,22 @@ def test_criterion_07_constant_stepsize_noise_floor():
     every seed. The comparison is kept at the stated budget rather than
     stretched to one where it would pass.
     """
-    base_plateaus = []
-    reduced_plateaus = []
-    for seed in range(5):
-        config = build_experiment(
-            "m1", 5, seed=seed, schedule=ConstantStepsize(5e-4), budget=1_000_000
-        )
-        base_plateaus.append(_plateau(run(config)))
-        reduced = dataclasses.replace(
+    # each group of 5 seeds runs as one batch, recorded at every iterate
+    # because _plateau reads the last 10% of f
+    configs = [
+        build_experiment("m1", 5, seed=seed, schedule=ConstantStepsize(5e-4), budget=1_000_000)
+        for seed in range(5)
+    ]
+    base_plateaus = [_plateau(trace) for trace in run_batch(configs)]
+    reduced = [
+        dataclasses.replace(
             config,
             schedule=ConstantStepsize(5e-5),
             noise=NoiseModel("normal_scaled", 0.01),
         )
-        reduced_plateaus.append(_plateau(run(reduced)))
+        for config in configs
+    ]
+    reduced_plateaus = [_plateau(trace) for trace in run_batch(reduced)]
     base = float(np.median(base_plateaus))
     lowered = float(np.median(reduced_plateaus))
     ok = min(base_plateaus) > 0.0 and lowered < base

@@ -135,6 +135,17 @@ class TestWeights:
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "InvalidDistributionError"
 
+    def test_unparseable_distribution_names_file(self, seven_state_file, tmp_path):
+        init = tmp_path / "i.txt"
+        init.write_text("1 0 0 x 0 0 0\n")
+        proc = cli("weights", "--matrix", str(seven_state_file), "--init", str(init))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert str(init) in err["message"]
+
 
 class TestWeaklyCoupledPair:
     """[[1-e, e], [e, 1-e]] at e = 1e-4, whose matrix squares drift off the simplex."""

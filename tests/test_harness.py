@@ -1,11 +1,14 @@
 """Tests for the experiment harness: configs, suites, decay diagnostics."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chainopt import (
+    CROSSING_THRESHOLDS,
     ConstantStepsize,
     DegenerateFitError,
     DiminishingBlockStepsize,
@@ -22,12 +25,13 @@ from chainopt import (
     objective,
     parse_trace_csv,
     run,
+    run_batch,
     run_suite,
     study_matrix,
     study_weights,
     validate_stochastic,
 )
-from chainopt.harness import CROSSING_THRESHOLDS, SCHEDULE_BLOCK
+from chainopt.harness import SCHEDULE_BLOCK, study_design
 
 from conftest import NINE_STATE_ROWS, coupled_blocks
 
@@ -104,6 +108,12 @@ class TestBuildExperiment:
             build_experiment("m1", 7)
         with pytest.raises(UnknownTestError):
             build_experiment("m1", 0)
+        # bools and non-integral numbers are not test numbers
+        for test in (1.9, True, 5.5):
+            with pytest.raises(UnknownTestError):
+                build_experiment("m1", test)
+            with pytest.raises(UnknownTestError):
+                noise_for_test(test)
 
 
 class TestNoiseForTest:
@@ -142,14 +152,28 @@ class TestDefaultSchedule:
 
 
 class TestFirstCrossings:
-    def test_matches_manual_scan(self):
-        trace = run(build_experiment("m3", 1, seed=0, budget=3000))
+    @pytest.mark.parametrize("stride", [1, 7, 512, 3000])
+    def test_matches_manual_scan(self, stride):
+        # the record is exact at any stride: a scan of every iterate's
+        # best_f, from a stride-1 run, is the reference
+        full = run(build_experiment("m3", 1, seed=0, budget=3000))
+        trace = run(build_experiment("m3", 1, seed=0, budget=3000, stride=stride))
         crossings = first_crossings(trace)
         assert set(crossings) == {"1e-02", "1e-03", "1e-04", "1e-06"}
         for tau in CROSSING_THRESHOLDS:
-            below = np.flatnonzero(trace.best_f < tau)
-            want = int(trace.k[below[0]]) if below.size else None
+            below = np.flatnonzero(full.best_f < tau)
+            want = int(full.k[below[0]]) if below.size else None
             assert crossings[f"{tau:.0e}"] == want
+        if stride > 1:
+            # at least one crossing falls between recorded rows
+            assert any(v is not None and v % stride for v in crossings.values())
+
+    def test_start_at_optimum_crosses_at_zero(self):
+        # f(y) = 0 at the study optimum, so every threshold is crossed at k = 0
+        _, _, _, y = study_design()
+        config = replace(build_experiment("m1", 1, seed=0, budget=600), x0=y)
+        assert objective(config.problem, y) == 0.0
+        assert set(first_crossings(run(config)).values()) == {0}
 
     def test_never_crossed_is_none(self):
         trace = run(build_experiment("m1", 1, seed=0, budget=20))
@@ -206,6 +230,21 @@ class TestRunSuite:
         assert parsed["k"].size <= 25_000 // 2 + 2
         assert parsed["k"][-1] == 25_000
 
+    def test_memory_does_not_grow_with_budget(self, tmp_path):
+        # run_suite records at its CSV stride, about 10^4 rows per seed at
+        # any budget, so its peak must stay flat from 2e4 to 1e5
+        run_suite(ExperimentSpec("m3", 1, (0,), 200, out=str(tmp_path / "warm")))
+        peaks = []
+        for budget in (20_000, 100_000):
+            spec = ExperimentSpec("m3", 1, (0,), budget, out=str(tmp_path / str(budget)))
+            tracemalloc.start()
+            try:
+                run_suite(spec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 65_536, peaks
+
     def test_m1_summary_reports_two_chains(self, tmp_path):
         spec = ExperimentSpec(
             method="m1", test=1, seeds=(0,), budget=200, out=str(tmp_path)
@@ -240,10 +279,11 @@ class TestRunSuite:
         """
         medians = {}
         for test in (1, 5, 6):
-            crossings = []
-            for seed in range(11):
-                trace = run(build_experiment("m1", test, seed=seed, budget=20_000))
-                crossings.append(first_crossings(trace)["1e-03"])
+            configs = [
+                build_experiment("m1", test, seed=s, budget=20_000, stride=20_000)
+                for s in range(11)
+            ]
+            crossings = [first_crossings(trace)["1e-03"] for trace in run_batch(configs)]
             assert all(v is not None for v in crossings)
             medians[test] = float(np.median(crossings))
         assert medians[1] <= medians[6] <= medians[5]

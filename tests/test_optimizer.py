@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainopt import (
+    CROSSING_THRESHOLDS,
     Box,
     ChainSpec,
     ConstantStepsize,
@@ -556,6 +557,10 @@ def reference_run(config):
     lams.append(step_size(config.budget))
     keep = sorted(set(range(0, config.budget + 1, config.stride)) | {config.budget})
     running = np.minimum.accumulate(np.asarray(fs))
+    crossings = []
+    for tau in CROSSING_THRESHOLDS:
+        below = np.flatnonzero(running < tau)
+        crossings.append(int(below[0]) if below.size else None)
     return {
         "k": np.asarray(keep),
         "f": np.asarray(fs)[keep],
@@ -566,12 +571,13 @@ def reference_run(config):
         "best_x": best_x,
         "best_k": best_k,
         "max_subgradient_norm": max_norm,
+        "crossings": tuple(crossings),
     }
 
 
 TRACE_FIELDS = (
     "k", "f", "best_f", "lam", "states", "final_x", "best_x", "best_k",
-    "max_subgradient_norm",
+    "max_subgradient_norm", "crossings",
 )
 
 
@@ -766,10 +772,17 @@ class TestTraceIO:
         with pytest.raises(ValueError):
             parse_trace_csv(path)
 
+    def test_parse_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty.csv"):
+            parse_trace_csv(path)
+
     def test_thin_trace(self):
         trace = run(study_config(budget=100))
         thin = thin_trace(trace, 30)
         assert thin.k.tolist() == [0, 30, 60, 90, 100]
         assert thin.best_f[-1] == trace.best_f[-1]
+        assert thin.crossings == trace.crossings
         with pytest.raises(ValueError):
             thin_trace(trace, 0)
