@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .harness import (
-    DegenerateFitError,
+    METHODS,
     ExperimentSpec,
     InvalidSpecError,
-    UnknownMethodError,
-    UnknownTestError,
     decay_diagnostic,
     default_schedule,
     run_suite,
@@ -44,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a multi-seed study suite")
-    run_p.add_argument("--method", required=True, choices=["m1", "m2", "m3", "m4"])
+    run_p.add_argument("--method", required=True, choices=METHODS)
     run_p.add_argument("--test", required=True, type=int, help="noise test, 1..6")
     run_p.add_argument(
         "--schedule",
@@ -126,7 +125,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_decay(args) -> int:
     report = decay_diagnostic(read_matrix_text(args.matrix), args.kmax)
-    print(json.dumps(report.as_dict()))
+    print(json.dumps(asdict(report)))
     return 0
 
 
@@ -140,22 +139,13 @@ def _cmd_weights(args) -> int:
     return 0
 
 
-_REPORTED = (
-    MarkovError,
-    UnknownMethodError,
-    UnknownTestError,
-    InvalidSpecError,
-    DegenerateFitError,
-    ValueError,
-    OSError,
-)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _REPORTED as exc:
+    # every harness error (unknown method or test, bad spec, degenerate
+    # fit) is a ValueError
+    except (MarkovError, ValueError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -226,8 +226,16 @@ def noise_for_test(test: int) -> NoiseModel:
 
 
 def default_schedule(method: str, kind: str = "diminishing", a=None, xi=None, lam=None):
-    """Published stepsize defaults, with optional per-field overrides."""
+    """Published stepsize defaults, with optional per-field overrides.
+
+    a and xi apply to the diminishing kind, lam to the constant kind;
+    an override for the other kind raises ValueError.
+    """
     method = _check_method(method)
+    unused = {"diminishing": {"lam": lam}, "constant": {"a": a, "xi": xi}}.get(kind, {})
+    for name, value in unused.items():
+        if value is not None:
+            raise ValueError(f"stepsize override {name}={value!r} does not apply to {kind}")
     if kind == "diminishing":
         base_a, base_xi = DIMINISHING_PARAMS[method]
         return DiminishingBlockStepsize(
@@ -323,16 +331,8 @@ def _quartiles(values):
 
 
 def _schedule_to_json(schedule) -> dict:
-    if isinstance(schedule, ConstantStepsize):
-        return {"kind": "constant", "lam": schedule.lam}
-    if isinstance(schedule, DiminishingBlockStepsize):
-        return {
-            "kind": "diminishing_block",
-            "a": schedule.a,
-            "xi": schedule.xi,
-            "block_len": schedule.block_len,
-        }
-    raise ValueError(f"cannot serialize schedule {type(schedule).__name__}")
+    kind = "constant" if isinstance(schedule, ConstantStepsize) else "diminishing_block"
+    return {"kind": kind, **asdict(schedule)}
 
 
 def run_suite(spec: ExperimentSpec) -> dict:
@@ -352,6 +352,8 @@ def run_suite(spec: ExperimentSpec) -> dict:
     seeds = tuple(int(s) for s in spec.seeds)
     if not seeds:
         raise InvalidSpecError("experiment spec needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise InvalidSpecError(f"experiment spec repeats a seed: {seeds}")
     if spec.budget < 1:
         raise InvalidSpecError(f"budget must be at least 1, got {spec.budget}")
     out_dir = Path(spec.out)
@@ -382,7 +384,6 @@ def run_suite(spec: ExperimentSpec) -> dict:
                 "trace_csv": csv_name,
             }
         )
-    chains = 2 if method == "m1" else 1
     crossing_stats = {}
     for tau in CROSSING_THRESHOLDS:
         key = f"{tau:.0e}"
@@ -393,16 +394,14 @@ def run_suite(spec: ExperimentSpec) -> dict:
             "median": q50,
             "iqr": None if q25 is None else [q25, q75],
         }
-    schedule = spec.schedule
-    if schedule is None:
-        schedule = default_schedule(method)
+    config = configs[0]
     summary = {
         "method": method,
         "test": test,
         "budget": spec.budget,
-        "chains": chains,
-        "schedule": _schedule_to_json(schedule),
-        "noise": {"kind": noise_for_test(test).kind, "scale": noise_for_test(test).scale},
+        "chains": len(config.chains),
+        "schedule": _schedule_to_json(config.schedule),
+        "noise": asdict(config.noise),
         "seeds": list(seeds),
         "csv_stride": csv_stride,
         "per_seed": per_seed,
@@ -426,14 +425,6 @@ class DecayFit:
     rmse: float
     k_used: tuple
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "beta_hat": self.beta_hat,
-            "rmse": self.rmse,
-            "k_used": list(self.k_used),
-        }
-
 
 @dataclass(frozen=True)
 class DecayReport:
@@ -441,12 +432,6 @@ class DecayReport:
 
     matrix: DecayFit
     transient: DecayFit | None
-
-    def as_dict(self) -> dict:
-        return {
-            "matrix": self.matrix.as_dict(),
-            "transient": None if self.transient is None else self.transient.as_dict(),
-        }
 
 
 def _fit_decay(ks: np.ndarray, values: np.ndarray, floor: float):

@@ -1,14 +1,15 @@
 """Finite Markov chain structure analysis and limit computation.
 
 Decomposes a row-stochastic transition matrix into recurrent classes,
-transient states, and class periods, and computes the Cesaro
-(time-averaged) limit of the matrix powers that drives chain-weighted
-optimization; it exists even for periodic chains. The plain power limit
-along multiples of the global period, a mixing diagnostic, is computed
-only on request, as the Cesaro limit of P^delta. Also provides seeded
-trajectory sampling and the plain-text matrix format: a line holding
-the state count m, then m rows of m entries, parsed by numpy in C and
-written without per-entry float conversions.
+transient states, and class periods. The Cesaro (time-averaged) limit
+of the matrix powers, which drives chain-weighted optimization, is
+solved on the first read of a decomposition's cesaro, and a failed solve
+raises SingularSolveError there. The power limit along multiples of the
+global period, a mixing diagnostic, is the Cesaro limit of P^delta,
+computed only on request. Also provides seeded trajectory sampling and
+the plain-text matrix format: a line holding the state count m, then m
+rows of m entries, parsed by numpy in C and written without per-entry
+float conversions.
 
 States are 0-based throughout the in-memory API. Text files, JSON
 reports, and error messages use 1-based state labels.
@@ -154,17 +155,22 @@ def _as_transition(P) -> TransitionMatrix:
 class ChainDecomposition:
     """Recurrent classes, periods, transient states, and the Cesaro limit.
 
-    classes are 0-based, each sorted ascending, ordered by smallest
-    member. delta is the least common multiple of the class periods.
-    cesaro is the limit of averaged powers. The limit of P raised to
-    multiples of delta is not stored; power_limit(P, delta) computes it.
+    matrix is the validated matrix decomposed. classes are 0-based, each
+    sorted ascending, ordered by smallest member. delta is the least
+    common multiple of the class periods. cesaro, the limit of averaged
+    powers, is solved on first read (raising SingularSolveError if a
+    solve fails) and kept. power_limit(P, delta) gives the limit of P^delta.
     """
 
+    matrix: TransitionMatrix
     classes: tuple[tuple[int, ...], ...]
     periods: tuple[int, ...]
     transient: tuple[int, ...]
     delta: int
-    cesaro: np.ndarray
+
+    @cached_property
+    def cesaro(self) -> np.ndarray:
+        return cesaro_limit(self.matrix, self.classes, self.transient)
 
 
 def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
@@ -243,12 +249,13 @@ def _class_period(adj: list[list[int]], members: tuple[int, ...]) -> int:
 
 
 def decompose(P: TransitionMatrix) -> ChainDecomposition:
-    """Classify states and compute the Cesaro limit.
+    """Classify states: recurrent classes, their periods, transient states.
 
     A strongly connected component of the support graph is a recurrent
     class exactly when it is closed (no edge leaves it); every other
     state is transient. Class order is deterministic: sorted by smallest
-    member state.
+    member state. Nothing is solved: a failed Cesaro solve raises
+    SingularSolveError at the first read of the result's cesaro.
     """
     P = _as_transition(P)
     mat = P.matrix
@@ -271,13 +278,12 @@ def decompose(P: TransitionMatrix) -> ChainDecomposition:
     delta = 1
     for p in periods:
         delta = math.lcm(delta, p)
-    cesaro = cesaro_limit(P, tuple(classes), tuple(sorted(transient)))
     return ChainDecomposition(
+        matrix=P,
         classes=tuple(classes),
         periods=periods,
         transient=tuple(sorted(transient)),
         delta=delta,
-        cesaro=cesaro,
     )
 
 
@@ -349,7 +355,7 @@ def power_limit(P: TransitionMatrix, delta: int) -> np.ndarray:
     is the least such). P^delta then has the same transient states as
     P, and its recurrent classes are the cyclic subclasses of P's, all
     aperiodic, so its powers converge to its Cesaro limit, which
-    decompose computes exactly. The rows of P^delta are divided by their
+    cesaro_limit computes exactly. The rows of P^delta are divided by their
     sums first: P's rows may be 1e-12 off, and that slack grows with
     delta past what validation accepts.
     """
@@ -362,6 +368,8 @@ def power_limit(P: TransitionMatrix, delta: int) -> np.ndarray:
 
 def _check_distribution(dist, m: int) -> np.ndarray:
     vec = np.asarray(dist, dtype=np.float64)
+    if vec.size == 0:
+        raise InvalidDistributionError("distribution is empty")
     if vec.ndim != 1 or vec.shape[0] != m:
         raise InvalidDistributionError(
             f"distribution must be a vector of length {m}, got shape {vec.shape}"
@@ -384,7 +392,7 @@ def limiting_distribution(pi0, decomp: ChainDecomposition) -> np.ndarray:
     The result is again a probability vector and puts zero mass on every
     transient state.
     """
-    vec = _check_distribution(pi0, decomp.cesaro.shape[0])
+    vec = _check_distribution(pi0, decomp.matrix.m)
     return vec @ decomp.cesaro
 
 
@@ -476,11 +484,14 @@ def write_matrix_text(P: TransitionMatrix, path) -> None:
 
 
 def read_distribution_text(path, m: int | None = None) -> np.ndarray:
-    """Parse a whitespace-separated probability vector from a text file."""
+    """Parse a probability vector of length m (any if None); errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     try:
         vec = np.array([float(t) for t in tokens], dtype=np.float64)
     except ValueError as exc:
         raise ValueError(f"distribution file {path}: {exc}") from None
-    return _check_distribution(vec, vec.shape[0] if m is None else m)
+    try:
+        return _check_distribution(vec, vec.shape[0] if m is None else m)
+    except InvalidDistributionError as exc:
+        raise InvalidDistributionError(f"distribution file {path}: {exc}") from None

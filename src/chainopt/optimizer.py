@@ -156,7 +156,8 @@ class RunConfig:
     subgradient_scale, when set, multiplies the subgradient of component
     i by scale[i] inside the update. Baseline methods that visit
     components uniformly use it to target the weighted objective; the
-    reported objective always uses problem.weights either way.
+    reported objective always uses problem.weights either way. decomp
+    must be a decomposition of matrix or of a matrix with equal entries.
     """
 
     problem: ConvexSumProblem
@@ -179,6 +180,10 @@ class RunConfig:
             scale = np.array(self.subgradient_scale, dtype=np.float64)
             scale.flags.writeable = False
             object.__setattr__(self, "subgradient_scale", scale)
+
+
+def _same_matrix(a: TransitionMatrix, b: TransitionMatrix) -> bool:
+    return a is b or np.array_equal(a.matrix, b.matrix)
 
 
 def _check_config(config: RunConfig) -> None:
@@ -209,7 +214,7 @@ def _check_config(config: RunConfig) -> None:
             raise ValueError(f"subgradient scale must have shape ({m},), got {scale.shape}")
         if not np.all(np.isfinite(scale)) or float(scale.min()) < 0.0:
             raise ValueError("subgradient scale entries must be finite and nonnegative")
-    if config.decomp.cesaro.shape[0] != m:
+    if not _same_matrix(config.decomp.matrix, config.matrix):
         raise ValueError("decomposition does not match the transition matrix")
 
 
@@ -338,7 +343,7 @@ def _same_scale(a, b) -> bool:
 # Fields every config of one batch must share, with how they are compared.
 _SHARED = (
     ("problem", _same_problem),
-    ("matrix", lambda a, b: a is b or np.array_equal(a.matrix, b.matrix)),
+    ("matrix", _same_matrix),
     ("schedule", lambda a, b: a == b),
     ("noise", lambda a, b: a == b),
     ("budget", lambda a, b: a == b),
@@ -670,7 +675,10 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 
 def parse_trace_csv(path) -> dict:
-    """Read a trace CSV back into columnar arrays (states 0-based again)."""
+    """Read a trace CSV back into columnar arrays (states 0-based again).
+
+    A malformed row raises ValueError naming the file and the line.
+    """
     ks, fs, bests, lams, states = [], [], [], [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -678,11 +686,15 @@ def parse_trace_csv(path) -> dict:
         if header != ["k", "f", "best_f", "lambda", "states"]:
             raise ValueError(f"trace file {path}: unexpected header {header!r}")
         for row in reader:
-            ks.append(int(row[0]))
-            fs.append(float(row[1]))
-            bests.append(float(row[2]))
-            lams.append(float(row[3]))
-            states.append([int(tok) - 1 for tok in row[4].split("|")])
+            try:
+                k, f, best_f, lam, labels = row
+                ks.append(int(k))
+                fs.append(float(f))
+                bests.append(float(best_f))
+                lams.append(float(lam))
+                states.append([int(tok) - 1 for tok in labels.split("|")])
+            except ValueError as exc:
+                raise ValueError(f"trace file {path}, line {reader.line_num}: {exc}") from None
     return {
         "k": np.asarray(ks, dtype=np.int64),
         "f": np.asarray(fs),

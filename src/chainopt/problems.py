@@ -235,7 +235,7 @@ def weights_from_chains(initial_dists, decomp: ChainDecomposition) -> np.ndarray
     dists = list(initial_dists)
     if not dists:
         raise InvalidDistributionError("need at least one chain initial distribution")
-    acc = np.zeros(decomp.cesaro.shape[0])
+    acc = np.zeros(decomp.matrix.m)
     for dist in dists:
         acc += limiting_distribution(dist, decomp)
     return acc / len(dists)

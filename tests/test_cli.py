@@ -131,9 +131,15 @@ class TestWeights:
     def test_bad_distribution_is_json_error(self, seven_state_file, tmp_path):
         init = tmp_path / "i.txt"
         init.write_text("1 1 0 0 0 0 0\n")
-        proc = cli("weights", "--matrix", str(seven_state_file), "--init", str(init))
+        good = tmp_path / "good.txt"
+        good.write_text("1 0 0 0 0 0 0\n")
+        proc = cli(
+            "weights", "--matrix", str(seven_state_file), "--init", str(good), "--init", str(init)
+        )
         assert proc.returncode == 1
-        assert json.loads(proc.stderr)["error"] == "InvalidDistributionError"
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InvalidDistributionError"
+        assert str(init) in err["message"]
 
     def test_unparseable_distribution_names_file(self, seven_state_file, tmp_path):
         init = tmp_path / "i.txt"
@@ -218,6 +224,29 @@ class TestRun:
         summary = json.loads((out / "m1_test5_summary.json").read_text())
         assert summary["schedule"] == {"kind": "constant", "lam": 1e-3}
         assert summary["chains"] == 2
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--schedule", "constant", "--a", "3"], "a"),
+            (["--schedule", "constant", "--xi", "0.8"], "xi"),
+            (["--lambda", "1e-3"], "lam"),
+        ],
+        ids=["a-constant", "xi-constant", "lambda-diminishing"],
+    )
+    def test_flag_for_other_schedule_is_json_error(self, tmp_path, flags, name):
+        out = tmp_path / "x"
+        proc = cli(
+            "run", "--method", "m1", "--test", "1", *flags,
+            "--budget", "10", "--seeds", "0", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert f"override {name}=" in err["message"]
+        assert not out.exists()
 
     def test_bad_test_number(self, tmp_path):
         proc = cli(

@@ -2,7 +2,7 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -147,6 +147,15 @@ class TestDefaultSchedule:
         with pytest.raises(ValueError):
             default_schedule("m1", kind="warmup")
 
+    @pytest.mark.parametrize(
+        "kind, override",
+        [("constant", {"a": 3.0}), ("constant", {"xi": 0.8}), ("diminishing", {"lam": 1e-3})],
+    )
+    def test_override_for_other_kind_rejected(self, kind, override):
+        (name,) = override
+        with pytest.raises(ValueError, match=f"override {name}="):
+            default_schedule("m1", kind=kind, **override)
+
 
 # -------------------------------------------------------------- crossings
 
@@ -258,6 +267,14 @@ class TestRunSuite:
         with pytest.raises(InvalidSpecError):
             run_suite(spec)
 
+    def test_duplicate_seeds_rejected(self, tmp_path):
+        spec = ExperimentSpec(
+            method="m3", test=1, seeds=(0, 0, 1), budget=100, out=str(tmp_path)
+        )
+        with pytest.raises(InvalidSpecError, match="repeats a seed"):
+            run_suite(spec)
+        assert not list(tmp_path.iterdir())
+
     def test_zero_budget_rejected(self, tmp_path):
         spec = ExperimentSpec(
             method="m3", test=1, seeds=(0,), budget=0, out=str(tmp_path)
@@ -333,7 +350,7 @@ class TestDecayDiagnostic:
 
     def test_report_dict_shape(self):
         report = decay_diagnostic(study_matrix(), k_max=30)
-        payload = report.as_dict()
+        payload = asdict(report)
         assert set(payload) == {"matrix", "transient"}
         assert set(payload["matrix"]) == {"alpha_hat", "beta_hat", "rmse", "k_used"}
         assert payload["transient"] is None

@@ -1,5 +1,8 @@
 """Tests for finite-chain analysis: validation, decomposition, limits, sampling."""
 
+import contextlib
+import io
+import json
 import math
 import tracemalloc
 import warnings
@@ -36,6 +39,7 @@ from conftest import (
     unit_mass,
 )
 
+from chainopt import cli, markov
 from chainopt.harness import study_matrix
 
 
@@ -186,6 +190,44 @@ class TestDecompose:
     def test_accepts_raw_array(self):
         dec = decompose(np.eye(2))
         assert isinstance(dec, ChainDecomposition)
+        assert np.array_equal(dec.matrix.matrix, np.eye(2))
+
+    def test_keeps_the_validated_matrix(self, nine_state):
+        assert decompose(nine_state).matrix is nine_state
+
+    def test_solves_nothing_until_cesaro_is_read(self, monkeypatch, tmp_path, nine_state):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return cesaro_limit(*args)
+
+        monkeypatch.setattr(markov, "cesaro_limit", counting)
+        dec = decompose(nine_state)
+        path = tmp_path / "nine.txt"
+        write_matrix_text(nine_state, path)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["decompose", "--matrix", str(path)]) == 0
+        assert json.loads(out.getvalue())["delta"] == 6
+        assert calls == []
+        first = dec.cesaro
+        assert len(calls) == 1
+        assert dec.cesaro is first
+        assert len(calls) == 1
+        assert np.array_equal(first, cesaro_limit(nine_state, dec.classes, dec.transient))
+
+    def test_failed_solve_raises_on_first_read(self):
+        # claiming both states of the identity form one class makes the
+        # stationary solve singular; building the decomposition does not
+        dec = ChainDecomposition(
+            matrix=validate_stochastic(np.eye(2)),
+            classes=((0, 1),),
+            periods=(1,),
+            transient=(),
+            delta=1,
+        )
+        with pytest.raises(SingularSolveError):
+            dec.cesaro
 
     @settings(max_examples=60, deadline=None)
     @given(structured_matrices())
@@ -515,6 +557,21 @@ class TestTextIO:
         path = tmp_path / "dist.txt"
         path.write_text("0.25 0.75\n")
         assert np.array_equal(read_distribution_text(path), [0.25, 0.75])
+
+    @pytest.mark.parametrize("m", [None, 2])
+    def test_read_empty_distribution_names_file(self, tmp_path, m):
+        path = tmp_path / "empty.txt"
+        path.write_text("\n")
+        with pytest.raises(InvalidDistributionError, match="empty.txt: distribution is empty"):
+            read_distribution_text(path, m)
+
+    @pytest.mark.parametrize("text", ["0.5 0.25 0.25\n", "1.5 -0.5\n", "0.5 0.4\n"],
+                             ids=["length", "negative", "sum"])
+    def test_invalid_distribution_names_file(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidDistributionError, match="bad.txt"):
+            read_distribution_text(path, 2)
 
     def test_read_distribution_multiline(self, tmp_path):
         path = tmp_path / "dist.txt"

@@ -398,6 +398,15 @@ class TestRunValidation:
         with pytest.raises(ValueError):
             run(config)
 
+    def test_decomposition_of_another_matrix_rejected(self):
+        # same size, other support: the unreachable-class warning would
+        # read the wrong classes
+        config = cyclic_config(small_problem())
+        other = validate_stochastic(np.eye(3))
+        mismatched = replace(config, decomp=decompose(other))
+        with pytest.raises(ValueError, match="decomposition does not match"):
+            run(mismatched)
+
     def test_unreachable_class_warns(self):
         # two absorbing halves; the single chain starts in the first, so
         # the second class can never influence the run
@@ -625,7 +634,8 @@ class TestRunBatch:
                 np.vstack([comp.a for comp in c.problem.components]),
                 np.asarray([comp.b + 1.0 for comp in c.problem.components]),
                 c.problem.feasible, c.problem.weights))),
-            ("matrix", lambda c: replace(c, matrix=make_baseline("uniform_random", 7)[0])),
+            ("matrix", lambda c: replace(
+                c, matrix=(m := make_baseline("uniform_random", 7)[0]), decomp=decompose(m))),
             ("schedule", lambda c: replace(c, schedule=ConstantStepsize(0.1))),
             ("noise", lambda c: replace(c, noise=NoiseModel.zero())),
             ("budget", lambda c: replace(c, budget=c.budget + 1)),
@@ -776,6 +786,17 @@ class TestTraceIO:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(ValueError, match="empty.csv"):
+            parse_trace_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, line",
+        [("0,1.0", 2), ("0,1.0,1.0,0.5,1|5\r\n1,x,1.0,0.5,1|5", 3), ("0,1,1,1,1,extra", 2)],
+        ids=["short-row", "non-numeric", "extra-field"],
+    )
+    def test_parse_rejects_bad_row_naming_line(self, tmp_path, row, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"k,f,best_f,lambda,states\r\n{row}\r\n", newline="")
+        with pytest.raises(ValueError, match=f"bad.csv, line {line}:"):
             parse_trace_csv(path)
 
     def test_thin_trace(self):
