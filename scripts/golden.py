@@ -33,9 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
 import hashlib  # noqa: E402
-import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
@@ -50,10 +48,11 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "GOLDEN.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
-from chainopt import cli, harness, markov, optimizer  # noqa: E402
+from chainopt import harness, markov, optimizer  # noqa: E402
 from chainopt.problems import weights_from_chains  # noqa: E402
 
 import network  # noqa: E402  (perfbench's generated chains)
+from common import run_cli  # noqa: E402
 from conftest import NINE_STATE_ROWS, NINE_STATE_STARTS  # noqa: E402
 
 TRACE_BUDGET = 4097
@@ -145,13 +144,6 @@ def untimed(value):
     return value
 
 
-def run_cli(argv, work: Path) -> str:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return f"{code}\n{out.getvalue()}\n{err.getvalue()}".replace(str(work), "<dir>")
-
-
 def network_cases(cases: dict, work: Path) -> list:
     """CLI output and user-component runs on network-walk's chains; returns the chains."""
     nw = network.NetworkWalk(7, work)
@@ -159,7 +151,8 @@ def network_cases(cases: dict, work: Path) -> list:
         warnings.simplefilter("ignore", RuntimeWarning)
         for net in nw.nets:
             for command, argv in nw.commands(net):
-                cases[f"cli/{net.name}/{command}"] = digest(run_cli(argv, work))
+                code, out, err = run_cli(argv)
+                cases[f"cli/{net.name}/{command}"] = digest(code, out, err.replace(str(work), "<dir>"))
     for name, case in nw.runs.items():
         cases[f"trace/network/{name}"] = trace_digest(optimizer.run(case.config))
     for label, extra in (
@@ -168,9 +161,10 @@ def network_cases(cases: dict, work: Path) -> list:
         ("m3-test3", ["--method", "m3", "--test", "3", "--a", "1.5"]),
     ):
         out = work / f"run-{label}"
-        text = run_cli(["run", *extra, "--budget", "3000", "--seeds", "0,1", "--out", str(out)], work)
-        code, stdout, _ = text.split("\n", 2)
-        cases[f"cli/run/{label}"] = digest(code, json.dumps(json.loads(stdout), sort_keys=True))
+        code, stdout, _ = run_cli(["run", *extra, "--budget", "3000", "--seeds", "0,1", "--out", str(out)])
+        report = json.loads(stdout)
+        del report["out"]  # the temporary directory
+        cases[f"cli/run/{label}"] = digest(code, json.dumps(report, sort_keys=True))
         summary = next(out.glob("*_summary.json"))
         cases[f"cli/run/{label}/summary"] = digest(
             json.dumps(untimed(json.loads(summary.read_text())), sort_keys=True)
@@ -190,14 +184,12 @@ def random_chains():
 
 def analysis_digest(P, inits) -> str:
     decomp = markov.decompose(P)
-    report = markov.decomposition_report(decomp)
-    decay = outcome(lambda: json.dumps(asdict(harness.decay_diagnostic(P)), sort_keys=True))
     return digest(
-        json.dumps(report, sort_keys=True),
+        json.dumps(markov.decomposition_report(decomp), sort_keys=True),
         outcome(lambda: decomp.cesaro),
         outcome(weights_from_chains, inits, decomp),
         outcome(markov.power_limit, P, decomp.delta),
-        decay,
+        outcome(lambda: json.dumps(asdict(harness.decay_diagnostic(P)), sort_keys=True)),
     )
 
 
@@ -221,8 +213,7 @@ def chain_cases(cases: dict, nets: list) -> None:
         uniform = np.full(P.m, 1.0 / P.m)
         cases[f"limits/random-{i:03d}"] = analysis_digest(P, [uniform, np.eye(P.m)[0]])
         cases[f"draws/random-{i:03d}"] = draws_digest(P, uniform, i)
-    study = harness.study_matrix()
-    cases["draws/study-7"] = draws_digest(study, np.full(7, 1.0 / 7), 1)
+    cases["draws/study-7"] = draws_digest(harness.study_matrix(), np.full(7, 1.0 / 7), 1)
     for kind, neighbors in (
         ("equal_probability", harness.NEIGHBOR_SETS),
         ("cyclic", None),

@@ -87,10 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_seeds(text: str) -> tuple:
     try:
-        seeds = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
         raise InvalidSpecError(f"seeds must be a comma-separated integer list, got {text!r}")
-    return seeds
 
 
 def _cmd_run(args) -> int:

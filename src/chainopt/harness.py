@@ -28,6 +28,7 @@ from .optimizer import (
     run_batch,
     write_trace_csv,
     make_baseline,
+    _check_seed,
 )
 from .problems import Box, NoiseModel, make_l1_problem, project, weights_from_chains
 
@@ -349,7 +350,7 @@ def run_suite(spec: ExperimentSpec) -> dict:
     """
     method = _check_method(spec.method)
     test = _check_test(spec.test)
-    seeds = tuple(int(s) for s in spec.seeds)
+    seeds = tuple(_check_seed(s) for s in spec.seeds)
     if not seeds:
         raise InvalidSpecError("experiment spec needs at least one seed")
     if len(set(seeds)) != len(seeds):

@@ -11,6 +11,11 @@ the plain-text matrix format: a line holding the state count m, then m
 rows of m entries, parsed by numpy in C and written without per-entry
 float conversions.
 
+A matrix works out its support (each row's positive columns) once, and
+classification, class periods, reachability and sampling all read it.
+Sampling bisects a uniform draw in a row's cumulative probabilities over
+that support, the last pinned to 1.0, so no step has probability zero.
+
 States are 0-based throughout the in-memory API. Text files, JSON
 reports, and error messages use 1-based state labels.
 """
@@ -94,14 +99,13 @@ class InvalidDistributionError(MarkovError):
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Validated row-stochastic matrix; its sampling tables are built on the first walk.
+    """Validated row-stochastic matrix with support-sized tables built on first use.
 
     Construct through validate_stochastic; direct construction runs the
-    same checks. The row-wise cumulative sums used for inverse-CDF
-    sampling are computed the first time walk() reads them and kept on
-    the instance; a matrix that is only analysed never builds them.
-    Their last column is pinned to exactly 1.0 so a uniform draw in
-    [0, 1) can never fall past the final state.
+    same checks. _support lists each row's positive columns, and every
+    graph computation reads it. _cumulative holds each row's cumulative
+    probabilities over those columns, the last pinned to 1.0; only walk()
+    builds it. Both take memory in proportion to the positive entries.
     """
 
     matrix: np.ndarray
@@ -125,10 +129,12 @@ class TransitionMatrix:
         object.__setattr__(self, "matrix", mat)
 
     @cached_property
-    def _cum_rows(self) -> list[list[float]]:
-        cum = np.cumsum(self.matrix, axis=1)
-        cum[:, -1] = 1.0
-        return [row.tolist() for row in cum]
+    def _support(self) -> list[list[int]]:
+        return [np.flatnonzero(row > 0.0).tolist() for row in self.matrix]
+
+    @cached_property
+    def _cumulative(self) -> list[list[float]]:
+        return [_cumsum_pinned(row, cols) for row, cols in zip(self.matrix, self._support)]
 
     @property
     def m(self) -> int:
@@ -149,6 +155,18 @@ def _as_transition(P) -> TransitionMatrix:
     if isinstance(P, TransitionMatrix):
         return P
     return validate_stochastic(P)
+
+
+def _cumsum_pinned(probs: np.ndarray, cols: list[int]) -> list[float]:
+    """Cumulative sums of probs over cols, its positive entries, the last pinned to 1.0.
+
+    A zero entry adds nothing to a running sum, so each value is the full
+    vector's cumulative sum at its column. Pinning the last positive entry
+    leaves no gap below 1.0 in which a draw could pick a zero entry.
+    """
+    cum = np.cumsum(probs[cols]).tolist()
+    cum[-1] = 1.0
+    return cum
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,67 +203,61 @@ def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, iter(adj[root]), len(stack))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
         while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            row = adj[v]
-            for j in range(ei, len(row)):
-                w = row[j]
+            v, edges, height = work[-1]
+            for w in edges:
                 if index[w] == -1:
-                    work[-1] = (v, j + 1)
-                    work.append((w, 0))
-                    descended = True
+                    work.append((w, iter(adj[w]), len(stack)))
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
                     break
-                if on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    # v and everything pushed after it form the component
+                    comp = stack[height:]
+                    del stack[height:]
+                    for w in comp:
+                        on_stack[w] = False
+                    comps.append(comp)
     return comps
+
+
+def _levels(adj: list[list[int]], starts) -> dict[int, int]:
+    """Breadth-first distance from the nearest start to every state reachable from starts."""
+    level = dict.fromkeys(starts, 0)
+    frontier = list(level)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in level:
+                    level[w] = level[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return level
 
 
 def _class_period(adj: list[list[int]], members: tuple[int, ...]) -> int:
     """Period of one recurrent class via breadth-first level labels.
 
-    The gcd of level(i) + 1 - level(j) over the class's edges equals the
-    gcd of its cycle lengths; no cycle enumeration needed.
+    The class is closed, so the search from its first member stays in
+    it. The gcd of level(i) + 1 - level(j) over the class's edges equals
+    the gcd of its cycle lengths; no cycle enumeration needed.
     """
-    member_set = set(members)
-    level = {members[0]: 0}
-    frontier = [members[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w in member_set and w not in level:
-                    level[w] = level[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    g = 0
-    for v in members:
-        for w in adj[v]:
-            g = math.gcd(g, level[v] + 1 - level[w])
-    return g
+    level = _levels(adj, members[:1])
+    return math.gcd(*(level[v] + 1 - level[w] for v in members for w in adj[v]))
 
 
 def decompose(P: TransitionMatrix) -> ChainDecomposition:
@@ -258,32 +270,23 @@ def decompose(P: TransitionMatrix) -> ChainDecomposition:
     SingularSolveError at the first read of the result's cesaro.
     """
     P = _as_transition(P)
-    mat = P.matrix
-    m = P.m
-    rows, cols = np.nonzero(mat > 0.0)
-    bounds = np.searchsorted(rows, np.arange(m + 1)).tolist()
-    targets = cols.tolist()
-    adj = [targets[bounds[i]:bounds[i + 1]] for i in range(m)]
+    adj = P._support
     classes = []
     transient: list[int] = []
     for comp in _strongly_connected_components(adj):
         member_set = set(comp)
-        closed = all(w in member_set for v in comp for w in adj[v])
-        if closed:
+        if all(w in member_set for v in comp for w in adj[v]):
             classes.append(tuple(sorted(comp)))
         else:
             transient.extend(comp)
     classes.sort(key=lambda c: c[0])
     periods = tuple(_class_period(adj, cls) for cls in classes)
-    delta = 1
-    for p in periods:
-        delta = math.lcm(delta, p)
     return ChainDecomposition(
         matrix=P,
         classes=tuple(classes),
         periods=periods,
         transient=tuple(sorted(transient)),
-        delta=delta,
+        delta=math.lcm(*periods),
     )
 
 
@@ -405,27 +408,31 @@ class ChainState:
 
 
 def make_chain(P: TransitionMatrix, init_dist, rng: np.random.Generator) -> ChainState:
-    """Draw the starting state from init_dist using the chain's stream."""
+    """Draw the starting state from init_dist using the chain's stream.
+
+    The draw is bisected in init_dist's cumulative probabilities over its
+    positive entries, the last pinned to 1.0, as walk() does for a row.
+    """
     vec = _check_distribution(init_dist, P.m)
-    cum = np.cumsum(vec).tolist()
-    cum[-1] = 1.0
+    cols = np.flatnonzero(vec > 0.0).tolist()
     u = rng.random()
-    return ChainState(current=bisect_right(cum, u), rng=rng)
+    return ChainState(current=cols[bisect_right(_cumsum_pinned(vec, cols), u)], rng=rng)
 
 
 def walk(chain: ChainState, P: TransitionMatrix, steps: int) -> np.ndarray:
     """Advance `steps` transitions, returning every visited state.
 
-    Each transition samples the current row by inverse CDF with one
-    uniform draw; the draws are taken as one batch, which a Generator
-    makes bitwise equal to sequential scalar draws.
+    Each transition bisects one uniform draw in the current row's
+    cumulative probabilities over its positive columns, the last pinned
+    to 1.0, so no step has probability zero. The draws are taken as one
+    batch, which a Generator makes bitwise equal to sequential draws.
     """
     draws = chain.rng.random(steps).tolist()
-    rows = P._cum_rows
+    cols, cum = P._support, P._cumulative
     s = chain.current
     out = np.empty(steps, dtype=np.int64)
     for t, u in enumerate(draws):
-        s = bisect_right(rows[s], u)
+        s = cols[s][bisect_right(cum[s], u)]
         out[t] = s
     chain.current = s
     return out

@@ -91,13 +91,13 @@ class DiminishingBlockStepsize:
     block_len: int
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise InvalidParametersError(f"scale a must be positive, got {self.a!r}")
+        if not 0.0 < self.a < np.inf:
+            raise InvalidParametersError(f"scale a must be positive and finite, got {self.a!r}")
         if not (2.0 / 3.0 < self.xi <= 1.0):
             raise InvalidParametersError(
                 f"exponent xi must lie in (2/3, 1], got {self.xi!r}"
             )
-        if self.block_len < 1:
+        if not isinstance(self.block_len, (int, np.integer)) or self.block_len < 1:
             raise InvalidParametersError(
                 f"block length must be a positive integer, got {self.block_len!r}"
             )
@@ -110,20 +110,17 @@ class ConstantStepsize:
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise InvalidParametersError(f"stepsize must be nonnegative, got {self.lam!r}")
+        if not 0.0 <= self.lam < np.inf:
+            raise InvalidParametersError(f"stepsize must be finite and >= 0, got {self.lam!r}")
 
 
 def stepsize(schedule, k: int) -> float:
     """Stepsize applied when producing iterate k+1 from iterate k."""
-    if isinstance(schedule, ConstantStepsize):
-        return schedule.lam
-    block = k // schedule.block_len
-    return schedule.a / float(block + 1) ** schedule.xi
+    return float(_stepsizes(schedule, k, 1)[0])
 
 
 def _stepsizes(schedule, start: int, count: int) -> np.ndarray:
-    """Stepsizes for k = start .. start + count - 1, bitwise stepsize()."""
+    """Stepsizes for k = start .. start + count - 1."""
     if isinstance(schedule, ConstantStepsize):
         return np.full(count, schedule.lam)
     first = start // schedule.block_len
@@ -139,6 +136,12 @@ class ChainSpec:
 
     init_dist: np.ndarray
     seed: int
+
+
+def _check_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 @dataclass
@@ -208,6 +211,7 @@ def _check_config(config: RunConfig) -> None:
         raise ValueError("x0 must lie inside the feasible box")
     for spec in config.chains:
         markov._check_distribution(spec.init_dist, m)
+        _check_seed(spec.seed)
     if config.subgradient_scale is not None:
         scale = config.subgradient_scale
         if scale.shape != (m,):
@@ -230,22 +234,10 @@ def _warn_unreachable(config: RunConfig) -> None:
     frame, stacklevel = sys._getframe(1), 2
     while frame.f_code.co_filename == __file__:
         frame, stacklevel = frame.f_back, stacklevel + 1
-    m = config.matrix.m
-    support = config.matrix.matrix > 0.0
-    reachable = np.zeros(m, dtype=bool)
-    for spec in config.chains:
-        reachable |= np.asarray(spec.init_dist) > 0.0
-    frontier = np.flatnonzero(reachable).tolist()
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in np.flatnonzero(support[v]):
-                if not reachable[w]:
-                    reachable[w] = True
-                    nxt.append(int(w))
-        frontier = nxt
+    starts = {s for spec in config.chains for s in np.flatnonzero(spec.init_dist).tolist()}
+    reachable = markov._levels(config.matrix._support, starts)
     for cls in config.decomp.classes:
-        if not any(reachable[s] for s in cls):
+        if not any(s in reachable for s in cls):
             labels = tuple(s + 1 for s in cls)
             warnings.warn(
                 f"recurrent class {labels} is unreachable from every chain start; "

@@ -182,8 +182,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected {_NOISE_KINDS}")
-        if self.kind in ("uniform_scaled", "normal_scaled") and not self.scale > 0.0:
-            raise ValueError(f"noise kind {self.kind!r} needs a positive scale")
+        if self.kind in ("uniform_scaled", "normal_scaled") and not 0.0 < self.scale < np.inf:
+            raise ValueError(f"noise kind {self.kind!r} needs a positive finite scale")
 
     @classmethod
     def zero(cls) -> "NoiseModel":

@@ -248,6 +248,24 @@ class TestRun:
         assert f"override {name}=" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--schedule", "constant", "--lambda", "nan"], "stepsize must be finite"),
+            (["--a", "inf"], "scale a must be positive and finite"),
+            (["--seeds", "0,-1"], "seed must be a non-negative integer, got -1"),
+        ],
+        ids=["lambda-nan", "a-inf", "negative-seed"],
+    )
+    def test_bad_value_is_json_error_before_writing(self, tmp_path, flags, message):
+        out = tmp_path / "x"
+        proc = cli(
+            "run", "--method", "m1", "--test", "1", "--budget", "10", *flags, "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert message in json.loads(proc.stderr)["message"]
+        assert not out.exists()
+
     def test_bad_test_number(self, tmp_path):
         proc = cli(
             "run", "--method", "m1", "--test", "9",

@@ -275,6 +275,14 @@ class TestRunSuite:
             run_suite(spec)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("seed", [-1, 0.5], ids=["negative", "fraction"])
+    def test_bad_seed_rejected_before_writing(self, tmp_path, seed):
+        out = tmp_path / "out"
+        spec = ExperimentSpec(method="m3", test=1, seeds=(0, seed), budget=100, out=str(out))
+        with pytest.raises(ValueError, match=f"got {seed!r}"):
+            run_suite(spec)
+        assert not out.exists()
+
     def test_zero_budget_rejected(self, tmp_path):
         spec = ExperimentSpec(
             method="m3", test=1, seeds=(0,), budget=0, out=str(tmp_path)

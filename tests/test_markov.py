@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from chainopt import (
     ChainDecomposition,
+    ChainState,
     InvalidDistributionError,
     NegativeEntryError,
     RowSumError,
@@ -459,6 +460,19 @@ class TestLimitingDistribution:
 
 # ------------------------------------------------------------------ sampling
 
+# Sums to 1 - 2^-53 over its positive entries, then a zero entry.
+GAP_ROW = [0.20381898702851367, 0.7463113329614236, 0.049869680010062596, 0.0]
+
+
+class FixedDraws:
+    """Stands in for a Generator whose every uniform draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
 
 class TestSampling:
     def test_cyclic_walk_deterministic(self):
@@ -512,13 +526,48 @@ class TestSampling:
     def test_sampling_table_built_on_first_walk(self):
         tm = validate_stochastic(study_matrix().matrix)
         decompose(tm)
-        assert "_cum_rows" not in tm.__dict__
+        support = tm.__dict__["_support"]
+        assert "_cumulative" not in tm.__dict__
         chain = make_chain(tm, unit_mass(7, 0), np.random.default_rng(1))
-        assert "_cum_rows" not in tm.__dict__
+        assert "_cumulative" not in tm.__dict__
         walk(chain, tm, 3)
-        table = tm.__dict__["_cum_rows"]
+        table = tm.__dict__["_cumulative"]
         walk(chain, tm, 3)
-        assert tm.__dict__["_cum_rows"] is table
+        assert tm.__dict__["_cumulative"] is table
+        # the walk reads the support decompose built
+        assert tm.__dict__["_support"] is support
+
+    def test_walk_never_takes_a_zero_probability_step(self):
+        # the first row sums to 1 - 2^-53 before its zero entry, so a
+        # draw u = 1 - 2^-53 lies past its last positive entry
+        tm = validate_stochastic([GAP_ROW, [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                                  [0.0, 0.0, 0.0, 1.0]])
+        chain = ChainState(current=0, rng=FixedDraws(1.0 - 2.0 ** -53))
+        assert walk(chain, tm, 1).tolist() == [2]
+
+    def test_start_never_has_zero_probability(self):
+        tm = validate_stochastic(np.eye(4))
+        chain = make_chain(tm, GAP_ROW, FixedDraws(1.0 - 2.0 ** -53))
+        assert chain.current == 2
+
+    def test_first_walk_memory_scales_with_support(self):
+        # a 2000-state ring with offsets 1 and 2: a dense table of Python
+        # floats would hold 4 million entries, the support holds 8000
+        m = 2000
+        mat = np.zeros((m, m))
+        i = np.arange(m)
+        for d in (-2, -1, 1, 2):
+            mat[i, (i + d) % m] = 0.25
+        tm = validate_stochastic(mat)
+        tracemalloc.start()
+        try:
+            chain = make_chain(tm, unit_mass(m, 0), np.random.default_rng(0))
+            path = walk(chain, tm, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert np.all(np.isin(np.diff(path) % m, [1, 2, m - 2, m - 1]))
 
     def test_visit_frequencies_match_limit(self):
         tm = study_matrix()

@@ -1,6 +1,7 @@
 """Tests for the averaged-subgradient loop: schedules, updates, determinism."""
 
 import csv
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -121,6 +122,13 @@ class TestStepsize:
             DiminishingBlockStepsize(1.0, 0.7, 0)
         with pytest.raises(InvalidParametersError):
             ConstantStepsize(-0.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParametersError):
+                ConstantStepsize(bad)
+            with pytest.raises(InvalidParametersError):
+                DiminishingBlockStepsize(bad, 0.7, 1)
+        with pytest.raises(InvalidParametersError):
+            DiminishingBlockStepsize(1.0, 0.7, 1.5)
 
     def test_boundary_exponent_accepted(self):
         DiminishingBlockStepsize(1.0, 1.0, 3)
@@ -398,6 +406,13 @@ class TestRunValidation:
         with pytest.raises(ValueError):
             run(config)
 
+    @pytest.mark.parametrize("seed", [-1, 0.5, True], ids=["negative", "fraction", "bool"])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        config = cyclic_config(small_problem())
+        bad = replace(config, chains=(replace(config.chains[0], seed=seed),))
+        with pytest.raises(ValueError, match=f"got {seed!r}"):
+            run(bad)
+
     def test_decomposition_of_another_matrix_rejected(self):
         # same size, other support: the unreachable-class warning would
         # read the wrong classes
@@ -408,36 +423,38 @@ class TestRunValidation:
             run(mismatched)
 
     def test_unreachable_class_warns(self):
-        # two absorbing halves; the single chain starts in the first, so
-        # the second class can never influence the run
-        matrix = validate_stochastic(
-            [[0.0, 1.0, 0.0, 0.0],
-             [1.0, 0.0, 0.0, 0.0],
-             [0.0, 0.0, 0.0, 1.0],
-             [0.0, 0.0, 1.0, 0.0]]
-        )
-        A = np.eye(4, 2)
-        b = np.zeros(4)
-        prob = make_l1_problem(
-            A, b, Box([-1.0, -1.0], [1.0, 1.0]), np.full(4, 0.25)
-        )
-        config = RunConfig(
-            problem=prob,
-            matrix=matrix,
-            decomp=decompose(matrix),
-            chains=(ChainSpec(init_dist=unit_mass(4, 0), seed=0),),
-            schedule=ConstantStepsize(0.1),
-            noise=NoiseModel.zero(),
-            x0=np.zeros(2),
-            budget=5,
-        )
-        # both entry points attribute the warning to the caller's line
-        with pytest.warns(UnreachableClassWarning) as record:
-            run(config)
-        assert record[0].filename == __file__
-        with pytest.warns(UnreachableClassWarning) as record:
-            run_batch([config])
-        assert record[0].filename == __file__
+        # two absorbing halves, {1, 2} and {3, 4}; the single chain starts
+        # in the first, or on a transient state 5 that leads only into
+        # it, so the second class can never influence the run
+        halves = [[0.0, 1.0, 0.0, 0.0],
+                  [1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0],
+                  [0.0, 0.0, 1.0, 0.0]]
+        feeder = [row + [0.0] for row in halves] + [[0.5, 0.0, 0.0, 0.0, 0.5]]
+        for rows, start in ((halves, 0), (feeder, 4)):
+            m = len(rows)
+            matrix = validate_stochastic(rows)
+            prob = make_l1_problem(
+                np.eye(m, 2), np.zeros(m), Box([-1.0, -1.0], [1.0, 1.0]), np.full(m, 1.0 / m)
+            )
+            config = RunConfig(
+                problem=prob,
+                matrix=matrix,
+                decomp=decompose(matrix),
+                chains=(ChainSpec(init_dist=unit_mass(m, start), seed=0),),
+                schedule=ConstantStepsize(0.1),
+                noise=NoiseModel.zero(),
+                x0=np.zeros(2),
+                budget=5,
+            )
+            # both entry points attribute the warning to the caller's line
+            with pytest.warns(UnreachableClassWarning, match=r"class \(3, 4\)") as record:
+                run(config)
+            assert len(record) == 1
+            assert record[0].filename == __file__
+            with pytest.warns(UnreachableClassWarning) as record:
+                run_batch([config])
+            assert record[0].filename == __file__
 
     def test_no_warning_when_all_reachable(self):
         config = study_config(budget=5)

@@ -208,6 +208,10 @@ class TestNoiseModel:
             NoiseModel("uniform_scaled", 0.0)
         with pytest.raises(ValueError):
             NoiseModel("normal_scaled", -0.1)
+        for kind in ("uniform_scaled", "normal_scaled"):
+            for scale in (np.inf, np.nan):
+                with pytest.raises(ValueError):
+                    NoiseModel(kind, scale)
 
     def test_decaying_needs_positive_k(self):
         with pytest.raises(ValueError):
