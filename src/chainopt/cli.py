@@ -87,9 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_seeds(text: str) -> tuple:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        seeds = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
         raise InvalidSpecError(f"seeds must be a comma-separated integer list, got {text!r}")
+    return seeds
 
 
 def _cmd_run(args) -> int:

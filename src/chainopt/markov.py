@@ -203,34 +203,42 @@ def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, iter(adj[root]), len(stack))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
+        work = [(root, 0)]
         while work:
-            v, edges, height = work[-1]
-            for w in edges:
+            v, ei = work[-1]
+            if ei == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            descended = False
+            row = adj[v]
+            for j in range(ei, len(row)):
+                w = row[j]
                 if index[w] == -1:
-                    work.append((w, iter(adj[w]), len(stack)))
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
+                    work[-1] = (v, j + 1)
+                    work.append((w, 0))
+                    descended = True
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    # v and everything pushed after it form the component
-                    comp = stack[height:]
-                    del stack[height:]
-                    for w in comp:
-                        on_stack[w] = False
-                    comps.append(comp)
+                if on_stack[w]:
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+            if descended:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+            if work:
+                u = work[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
     return comps
 
 
@@ -257,7 +265,11 @@ def _class_period(adj: list[list[int]], members: tuple[int, ...]) -> int:
     the gcd of its cycle lengths; no cycle enumeration needed.
     """
     level = _levels(adj, members[:1])
-    return math.gcd(*(level[v] + 1 - level[w] for v in members for w in adj[v]))
+    g = 0
+    for v in members:
+        for w in adj[v]:
+            g = math.gcd(g, level[v] + 1 - level[w])
+    return g
 
 
 def decompose(P: TransitionMatrix) -> ChainDecomposition:
@@ -275,18 +287,22 @@ def decompose(P: TransitionMatrix) -> ChainDecomposition:
     transient: list[int] = []
     for comp in _strongly_connected_components(adj):
         member_set = set(comp)
-        if all(w in member_set for v in comp for w in adj[v]):
+        closed = all(w in member_set for v in comp for w in adj[v])
+        if closed:
             classes.append(tuple(sorted(comp)))
         else:
             transient.extend(comp)
     classes.sort(key=lambda c: c[0])
     periods = tuple(_class_period(adj, cls) for cls in classes)
+    delta = 1
+    for p in periods:
+        delta = math.lcm(delta, p)
     return ChainDecomposition(
         matrix=P,
         classes=tuple(classes),
         periods=periods,
         transient=tuple(sorted(transient)),
-        delta=math.lcm(*periods),
+        delta=delta,
     )
 
 

@@ -116,11 +116,14 @@ class ConstantStepsize:
 
 def stepsize(schedule, k: int) -> float:
     """Stepsize applied when producing iterate k+1 from iterate k."""
-    return float(_stepsizes(schedule, k, 1)[0])
+    if isinstance(schedule, ConstantStepsize):
+        return schedule.lam
+    block = k // schedule.block_len
+    return schedule.a / float(block + 1) ** schedule.xi
 
 
 def _stepsizes(schedule, start: int, count: int) -> np.ndarray:
-    """Stepsizes for k = start .. start + count - 1."""
+    """Stepsizes for k = start .. start + count - 1, bitwise stepsize()."""
     if isinstance(schedule, ConstantStepsize):
         return np.full(count, schedule.lam)
     first = start // schedule.block_len

@@ -460,8 +460,14 @@ class TestLimitingDistribution:
 
 # ------------------------------------------------------------------ sampling
 
-# Sums to 1 - 2^-53 over its positive entries, then a zero entry.
-GAP_ROW = [0.20381898702851367, 0.7463113329614236, 0.049869680010062596, 0.0]
+# Rows whose positive entries sum below 1.0, then a zero entry, each
+# with a draw u past its last positive entry: the first sums to
+# 1 - 2^-53, the second to 1 - 1e-13, inside ROW_SUM_TOL.
+GAP_ROWS = [
+    ([0.20381898702851367, 0.7463113329614236, 0.049869680010062596, 0.0],
+     1.0 - 2.0 ** -53),
+    ([0.5, 0.5 - 1e-13, 0.0, 0.0], 1.0 - 2.0 ** -50),
+]
 
 
 class FixedDraws:
@@ -537,18 +543,17 @@ class TestSampling:
         # the walk reads the support decompose built
         assert tm.__dict__["_support"] is support
 
-    def test_walk_never_takes_a_zero_probability_step(self):
-        # the first row sums to 1 - 2^-53 before its zero entry, so a
-        # draw u = 1 - 2^-53 lies past its last positive entry
-        tm = validate_stochastic([GAP_ROW, [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
-                                  [0.0, 0.0, 0.0, 1.0]])
-        chain = ChainState(current=0, rng=FixedDraws(1.0 - 2.0 ** -53))
-        assert walk(chain, tm, 1).tolist() == [2]
+    @pytest.mark.parametrize("row,u", GAP_ROWS, ids=["sum-1-2^-53", "sum-1-1e-13"])
+    def test_walk_never_takes_a_zero_probability_step(self, row, u):
+        mat = np.eye(4)
+        mat[0] = row
+        chain = ChainState(current=0, rng=FixedDraws(u))
+        assert walk(chain, validate_stochastic(mat), 1).tolist() == [np.flatnonzero(row)[-1]]
 
-    def test_start_never_has_zero_probability(self):
-        tm = validate_stochastic(np.eye(4))
-        chain = make_chain(tm, GAP_ROW, FixedDraws(1.0 - 2.0 ** -53))
-        assert chain.current == 2
+    @pytest.mark.parametrize("row,u", GAP_ROWS, ids=["sum-1-2^-53", "sum-1-1e-13"])
+    def test_start_never_has_zero_probability(self, row, u):
+        chain = make_chain(validate_stochastic(np.eye(4)), row, FixedDraws(u))
+        assert chain.current == np.flatnonzero(row)[-1]
 
     def test_first_walk_memory_scales_with_support(self):
         # a 2000-state ring with offsets 1 and 2: a dense table of Python
