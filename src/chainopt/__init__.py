@@ -45,7 +45,6 @@ from .problems import (
 )
 from .optimizer import (
     CROSSING_THRESHOLDS,
-    ChainRuntime,
     ChainSpec,
     ConstantStepsize,
     DiminishingBlockStepsize,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .markov import TransitionMatrix, decompose, power_limit, validate_stochastic
+from .markov import TransitionMatrix, _check_count, decompose, power_limit, validate_stochastic
 from .optimizer import (
     CROSSING_THRESHOLDS,
     ChainSpec,
@@ -28,7 +28,6 @@ from .optimizer import (
     run_batch,
     write_trace_csv,
     make_baseline,
-    _check_seed,
 )
 from .problems import Box, NoiseModel, make_l1_problem, project, weights_from_chains
 
@@ -300,8 +299,8 @@ def build_experiment(
         schedule=schedule,
         noise=noise_for_test(test),
         x0=x0,
-        budget=int(budget),
-        stride=int(stride),
+        budget=budget,
+        stride=stride,
         subgradient_scale=scale,
     )
 
@@ -350,24 +349,26 @@ def run_suite(spec: ExperimentSpec) -> dict:
     """
     method = _check_method(spec.method)
     test = _check_test(spec.test)
-    seeds = tuple(_check_seed(s) for s in spec.seeds)
+    seeds = tuple(spec.seeds)
     if not seeds:
         raise InvalidSpecError("experiment spec needs at least one seed")
     if len(set(seeds)) != len(seeds):
         raise InvalidSpecError(f"experiment spec repeats a seed: {seeds}")
     if spec.budget < 1:
         raise InvalidSpecError(f"budget must be at least 1, got {spec.budget}")
-    out_dir = Path(spec.out)
-    os.makedirs(out_dir, exist_ok=True)
     csv_stride = max(1, spec.budget // 10_000)
-    per_seed = []
     started = time.perf_counter()
+    # built before the output directory, so a bad seed or budget writes nothing
     configs = [
         build_experiment(
             method, test, seed=seed, schedule=spec.schedule, budget=spec.budget, stride=csv_stride
         )
         for seed in seeds
     ]
+    seeds = [config.chains[0].seed for config in configs]  # as ints, for the JSON summary
+    out_dir = Path(spec.out)
+    os.makedirs(out_dir, exist_ok=True)
+    per_seed = []
     for seed, trace in zip(seeds, run_batch(configs)):
         crossings = first_crossings(trace)
         csv_name = f"{method}_test{test}_seed{seed}.csv"
@@ -467,8 +468,7 @@ def decay_diagnostic(P: TransitionMatrix, k_max: int = 50) -> DecayReport:
     Raises DegenerateFitError when the matrix decay has nothing to fit
     (the power already equals its limit).
     """
-    if k_max < 5:
-        raise ValueError(f"k_max must be at least 5, got {k_max}")
+    k_max = _check_count(k_max, "k_max", 5)
     decomp = decompose(P)
     block = np.linalg.matrix_power(P.matrix, decomp.delta)
     # P^1 is P, whose limit decompose has already computed

@@ -378,8 +378,7 @@ def power_limit(P: TransitionMatrix, delta: int) -> np.ndarray:
     sums first: P's rows may be 1e-12 off, and that slack grows with
     delta past what validation accepts.
     """
-    if delta < 1:
-        raise ValueError("delta must be at least 1")
+    delta = _check_count(delta, "delta", 1)
     block = np.linalg.matrix_power(_as_transition(P).matrix, delta)
     block = block / block.sum(axis=1, keepdims=True)
     return decompose(block).cesaro
@@ -403,6 +402,14 @@ def _check_distribution(dist, m: int) -> np.ndarray:
     if abs(dev) > ROW_SUM_TOL:
         raise InvalidDistributionError(f"distribution sums to 1 {dev:+.6e}")
     return vec
+
+
+def _check_count(value, name: str, minimum: int, error=ValueError) -> int:
+    """value as an int, if it is an integer (not a bool) of at least minimum; else error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        rule = "a non-negative integer" if minimum == 0 else f"an integer of at least {minimum}"
+        raise error(f"{name} must be {rule}, got {value!r}")
+    return int(value)
 
 
 def limiting_distribution(pi0, decomp: ChainDecomposition) -> np.ndarray:

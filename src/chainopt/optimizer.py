@@ -27,6 +27,7 @@ from .problems import (
     ConvexSumProblem,
     L1Component,
     NoiseModel,
+    _frozen_copy,
     objective,
     project,
     sample_noise_block,
@@ -40,7 +41,6 @@ __all__ = [
     "DiminishingBlockStepsize",
     "ConstantStepsize",
     "ChainSpec",
-    "ChainRuntime",
     "RunConfig",
     "Trace",
     "stepsize",
@@ -97,10 +97,8 @@ class DiminishingBlockStepsize:
             raise InvalidParametersError(
                 f"exponent xi must lie in (2/3, 1], got {self.xi!r}"
             )
-        if not isinstance(self.block_len, (int, np.integer)) or self.block_len < 1:
-            raise InvalidParametersError(
-                f"block length must be a positive integer, got {self.block_len!r}"
-            )
+        block_len = markov._check_count(self.block_len, "block_len", 1, InvalidParametersError)
+        object.__setattr__(self, "block_len", block_len)
 
 
 @dataclass(frozen=True)
@@ -135,16 +133,19 @@ def _stepsizes(schedule, start: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChainSpec:
-    """Initial distribution and seed for one selection chain."""
+    """Initial distribution and seed for one selection chain.
+
+    Checked when built: seed must be an integer >= 0 (not a bool), and
+    init_dist is kept as a read-only float copy. RunConfig checks that
+    it is a distribution over its chain's states.
+    """
 
     init_dist: np.ndarray
     seed: int
 
-
-def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+    def __post_init__(self):
+        object.__setattr__(self, "init_dist", _frozen_copy(self.init_dist))
+        object.__setattr__(self, "seed", markov._check_count(self.seed, "seed", 0))
 
 
 @dataclass
@@ -164,6 +165,13 @@ class RunConfig:
     components uniformly use it to target the weighted objective; the
     reported objective always uses problem.weights either way. decomp
     must be a decomposition of matrix or of a matrix with equal entries.
+
+    Checked when built, and again by dataclasses.replace, so every
+    RunConfig is valid: one problem component per chain state, at least
+    one chain, each start a distribution over the states, integer budget
+    and stride of at least 1, x0 of shape (n,) inside the box, and a
+    finite, nonnegative scale of shape (m,). x0 and the scale are kept
+    as read-only float copies.
     """
 
     problem: ConvexSumProblem
@@ -178,51 +186,36 @@ class RunConfig:
     subgradient_scale: np.ndarray | None = None
 
     def __post_init__(self):
+        m, n = self.matrix.m, self.problem.n
+        if self.problem.m != m:
+            raise ValueError(
+                f"problem has {self.problem.m} components but the chain has {m} states"
+            )
         object.__setattr__(self, "chains", tuple(self.chains))
-        x0 = np.array(self.x0, dtype=np.float64)
-        x0.flags.writeable = False
-        object.__setattr__(self, "x0", x0)
+        if not self.chains:
+            raise ValueError("need at least one chain")
+        object.__setattr__(self, "budget", markov._check_count(self.budget, "budget", 1))
+        object.__setattr__(self, "stride", markov._check_count(self.stride, "stride", 1))
+        object.__setattr__(self, "x0", _frozen_copy(self.x0))
+        if self.x0.shape != (n,):
+            raise ValueError(f"x0 must have shape ({n},), got {self.x0.shape}")
+        if not np.array_equal(project(self.problem.feasible, self.x0), self.x0):
+            raise ValueError("x0 must lie inside the feasible box")
+        for spec in self.chains:
+            markov._check_distribution(spec.init_dist, m)
         if self.subgradient_scale is not None:
-            scale = np.array(self.subgradient_scale, dtype=np.float64)
-            scale.flags.writeable = False
+            scale = _frozen_copy(self.subgradient_scale)
+            if scale.shape != (m,):
+                raise ValueError(f"subgradient scale must have shape ({m},), got {scale.shape}")
+            if not np.all(np.isfinite(scale)) or float(scale.min()) < 0.0:
+                raise ValueError("subgradient scale entries must be finite and nonnegative")
             object.__setattr__(self, "subgradient_scale", scale)
+        if not _same_matrix(self.decomp.matrix, self.matrix):
+            raise ValueError("decomposition does not match the transition matrix")
 
 
 def _same_matrix(a: TransitionMatrix, b: TransitionMatrix) -> bool:
     return a is b or np.array_equal(a.matrix, b.matrix)
-
-
-def _check_config(config: RunConfig) -> None:
-    m = config.matrix.m
-    if len(config.problem.components) != m:
-        raise ValueError(
-            f"problem has {len(config.problem.components)} components but the "
-            f"chain has {m} states"
-        )
-    if not config.chains:
-        raise ValueError("need at least one chain")
-    if config.budget < 1:
-        raise ValueError(f"budget must be at least 1, got {config.budget}")
-    if config.stride < 1:
-        raise ValueError(f"stride must be at least 1, got {config.stride}")
-    if config.x0.shape != (config.problem.n,):
-        raise ValueError(
-            f"x0 must have shape ({config.problem.n},), got {config.x0.shape}"
-        )
-    clamped = project(config.problem.feasible, config.x0)
-    if not np.array_equal(clamped, config.x0):
-        raise ValueError("x0 must lie inside the feasible box")
-    for spec in config.chains:
-        markov._check_distribution(spec.init_dist, m)
-        _check_seed(spec.seed)
-    if config.subgradient_scale is not None:
-        scale = config.subgradient_scale
-        if scale.shape != (m,):
-            raise ValueError(f"subgradient scale must have shape ({m},), got {scale.shape}")
-        if not np.all(np.isfinite(scale)) or float(scale.min()) < 0.0:
-            raise ValueError("subgradient scale entries must be finite and nonnegative")
-    if not _same_matrix(config.decomp.matrix, config.matrix):
-        raise ValueError("decomposition does not match the transition matrix")
 
 
 def _warn_unreachable(config: RunConfig) -> None:
@@ -420,8 +413,6 @@ def run_batch(configs) -> list[Trace]:
     configs = list(configs)
     if not configs:
         raise ValueError("run_batch needs at least one config")
-    for config in configs:
-        _check_config(config)
     _check_shared(configs)
     for config in configs:
         _warn_unreachable(config)
@@ -631,8 +622,7 @@ def make_baseline(kind: str, m: int, neighbors=None):
 
 def thin_trace(trace: Trace, stride: int) -> Trace:
     """Keep every stride-th recorded row plus the first and last."""
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
+    stride = markov._check_count(stride, "stride", 1)
     keep = (trace.k % stride == 0) | (trace.k == trace.k[-1])
     idx = np.flatnonzero(keep)
     return replace(

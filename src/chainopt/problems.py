@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import ChainDecomposition, InvalidDistributionError, limiting_distribution
+from .markov import (
+    ChainDecomposition,
+    InvalidDistributionError,
+    _check_distribution,
+    limiting_distribution,
+)
 
 __all__ = [
     "Box",
@@ -27,8 +32,6 @@ __all__ = [
     "weights_from_chains",
     "make_l1_problem",
 ]
-
-WEIGHT_SUM_TOL = 1e-12
 
 
 def _frozen_copy(arr) -> np.ndarray:
@@ -88,11 +91,13 @@ class L1Component:
     b: float
 
     def __post_init__(self):
-        vec = _frozen_copy(self.a)
+        vec, b = _frozen_copy(self.a), float(self.b)
         if vec.ndim != 1:
             raise ValueError(f"coefficient row must be a vector, got shape {vec.shape}")
+        if not (np.all(np.isfinite(vec)) and np.isfinite(b)):
+            raise ValueError(f"coefficient row and offset must be finite, got b = {b!r}")
         object.__setattr__(self, "a", vec)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "_neg", _frozen_copy(-vec))
         object.__setattr__(self, "_zero", _frozen_copy(np.zeros_like(vec)))
 
@@ -127,17 +132,10 @@ class ConvexSumProblem:
         if not comps:
             raise ValueError("problem needs at least one component")
         object.__setattr__(self, "components", comps)
-        w = _frozen_copy(self.weights)
-        if w.ndim != 1 or w.shape[0] != len(comps):
-            raise ValueError(
-                f"weights must have one entry per component, got shape {w.shape} "
-                f"for {len(comps)} components"
-            )
-        if float(w.min()) < 0.0:
-            raise ValueError(f"weights must be nonnegative, got {float(w.min())!r}")
-        dev = float(w.sum()) - 1.0
-        if abs(dev) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1, deviation {dev:+.6e}")
+        try:
+            w = _frozen_copy(_check_distribution(self.weights, len(comps)))
+        except InvalidDistributionError as exc:
+            raise ValueError(f"weights: {exc}") from None
         object.__setattr__(self, "weights", w)
         if self.feasible.dim != self.n:
             raise ValueError(

@@ -115,6 +115,12 @@ class TestBuildExperiment:
             with pytest.raises(UnknownTestError):
                 noise_for_test(test)
 
+    @pytest.mark.parametrize("field, value", [("budget", 1000.7), ("stride", 2.5)])
+    def test_fractional_count_rejected(self, field, value):
+        # rejected, not truncated to 1000 or 2
+        with pytest.raises(ValueError, match=f"{field} must be an integer.*got {value!r}"):
+            build_experiment("m1", 1, **{field: value})
+
 
 class TestNoiseForTest:
     def test_mapping(self):
@@ -283,6 +289,13 @@ class TestRunSuite:
             run_suite(spec)
         assert not out.exists()
 
+    def test_fractional_budget_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        spec = ExperimentSpec(method="m3", test=1, seeds=(0,), budget=1000.7, out=str(out))
+        with pytest.raises(ValueError, match="got 1000.7"):
+            run_suite(spec)
+        assert not out.exists()
+
     def test_zero_budget_rejected(self, tmp_path):
         spec = ExperimentSpec(
             method="m3", test=1, seeds=(0,), budget=0, out=str(tmp_path)
@@ -389,3 +402,5 @@ class TestDecayDiagnostic:
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
             decay_diagnostic(study_matrix(), k_max=3)
+        with pytest.raises(ValueError, match="got 7.5"):
+            decay_diagnostic(study_matrix(), k_max=7.5)

@@ -381,6 +381,11 @@ class TestPowerLimit:
         assert dec.delta == 2
         assert np.allclose(power_limit(mat, dec.delta), np.eye(2), atol=1e-12)
 
+    @pytest.mark.parametrize("delta", [0, 2.0, True])
+    def test_delta_must_be_positive_integer(self, delta):
+        with pytest.raises(ValueError, match=f"got {delta!r}"):
+            power_limit(np.eye(2), delta)
+
     def test_seven_state_residual(self):
         mat = study_matrix()
         dec = decompose(mat)

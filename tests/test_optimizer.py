@@ -127,8 +127,9 @@ class TestStepsize:
                 ConstantStepsize(bad)
             with pytest.raises(InvalidParametersError):
                 DiminishingBlockStepsize(bad, 0.7, 1)
-        with pytest.raises(InvalidParametersError):
-            DiminishingBlockStepsize(1.0, 0.7, 1.5)
+        for bad in (1.5, True):
+            with pytest.raises(InvalidParametersError):
+                DiminishingBlockStepsize(1.0, 0.7, bad)
 
     def test_boundary_exponent_accepted(self):
         DiminishingBlockStepsize(1.0, 1.0, 3)
@@ -350,77 +351,88 @@ class TestRun:
 
 
 class TestRunValidation:
+    # A config checks itself when built, so each invalid one fails at its
+    # constructor or at dataclasses.replace, before any run.
+
     def test_component_count_must_match_states(self):
         prob = small_problem()
         matrix, init = make_baseline("cyclic", 4)
-        config = RunConfig(
-            problem=prob,
-            matrix=matrix,
-            decomp=decompose(matrix),
-            chains=(ChainSpec(init_dist=init, seed=0),),
-            schedule=ConstantStepsize(0.1),
-            noise=NoiseModel.zero(),
-            x0=prob.feasible.midpoint(),
-            budget=10,
-        )
         with pytest.raises(ValueError):
-            run(config)
+            RunConfig(
+                problem=prob,
+                matrix=matrix,
+                decomp=decompose(matrix),
+                chains=(ChainSpec(init_dist=init, seed=0),),
+                schedule=ConstantStepsize(0.1),
+                noise=NoiseModel.zero(),
+                x0=prob.feasible.midpoint(),
+                budget=10,
+            )
 
     def test_infeasible_x0_rejected(self):
         config = cyclic_config(small_problem())
-        bad = RunConfig(
-            problem=config.problem,
-            matrix=config.matrix,
-            decomp=config.decomp,
-            chains=config.chains,
-            schedule=config.schedule,
-            noise=config.noise,
-            x0=np.asarray([9.0, 0.0]),
-            budget=10,
-        )
         with pytest.raises(ValueError):
-            run(bad)
+            RunConfig(
+                problem=config.problem,
+                matrix=config.matrix,
+                decomp=config.decomp,
+                chains=config.chains,
+                schedule=config.schedule,
+                noise=config.noise,
+                x0=np.asarray([9.0, 0.0]),
+                budget=10,
+            )
+
+    @pytest.mark.parametrize("field, value", [("budget", 0), ("budget", 1000.7),
+                                              ("stride", 0), ("stride", 2.5)])
+    def test_replace_checks_again(self, field, value):
+        config = cyclic_config(small_problem())
+        with pytest.raises(ValueError, match=f"{field} must be an integer.*got {value!r}"):
+            replace(config, **{field: value})
 
     def test_budget_must_be_positive(self):
-        config = cyclic_config(small_problem(), budget=0)
         with pytest.raises(ValueError):
-            run(config)
+            cyclic_config(small_problem(), budget=0)
 
     def test_needs_chains(self):
         config = cyclic_config(small_problem())
-        empty = RunConfig(
-            problem=config.problem,
-            matrix=config.matrix,
-            decomp=config.decomp,
-            chains=(),
-            schedule=config.schedule,
-            noise=config.noise,
-            x0=config.x0,
-            budget=10,
-        )
         with pytest.raises(ValueError):
-            run(empty)
+            RunConfig(
+                problem=config.problem,
+                matrix=config.matrix,
+                decomp=config.decomp,
+                chains=(),
+                schedule=config.schedule,
+                noise=config.noise,
+                x0=config.x0,
+                budget=10,
+            )
 
     def test_scale_shape_checked(self):
-        config = cyclic_config(small_problem(), scale=np.ones(2))
         with pytest.raises(ValueError):
-            run(config)
+            cyclic_config(small_problem(), scale=np.ones(2))
 
     @pytest.mark.parametrize("seed", [-1, 0.5, True], ids=["negative", "fraction", "bool"])
     def test_seed_must_be_nonnegative_integer(self, seed):
         config = cyclic_config(small_problem())
-        bad = replace(config, chains=(replace(config.chains[0], seed=seed),))
         with pytest.raises(ValueError, match=f"got {seed!r}"):
-            run(bad)
+            replace(config.chains[0], seed=seed)
+
+    def test_chain_start_is_frozen_copy(self):
+        start = np.array([1.0, 0.0, 0.0])
+        spec = ChainSpec(init_dist=start, seed=0)
+        start[0] = 0.0
+        assert spec.init_dist[0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.init_dist[0] = 0.5
 
     def test_decomposition_of_another_matrix_rejected(self):
         # same size, other support: the unreachable-class warning would
         # read the wrong classes
         config = cyclic_config(small_problem())
         other = validate_stochastic(np.eye(3))
-        mismatched = replace(config, decomp=decompose(other))
         with pytest.raises(ValueError, match="decomposition does not match"):
-            run(mismatched)
+            replace(config, decomp=decompose(other))
 
     def test_unreachable_class_warns(self):
         # two absorbing halves, {1, 2} and {3, 4}; the single chain starts
@@ -822,5 +834,6 @@ class TestTraceIO:
         assert thin.k.tolist() == [0, 30, 60, 90, 100]
         assert thin.best_f[-1] == trace.best_f[-1]
         assert thin.crossings == trace.crossings
-        with pytest.raises(ValueError):
-            thin_trace(trace, 0)
+        for bad in (0, 2.5):
+            with pytest.raises(ValueError):
+                thin_trace(trace, bad)

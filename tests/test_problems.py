@@ -176,6 +176,17 @@ class TestProblemValidation:
                 [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], self.box(), [1.5, -0.5]
             )
 
+    def test_weights_must_be_finite(self):
+        with pytest.raises(ValueError, match="weights"):
+            make_l1_problem(np.eye(2), np.zeros(2), self.box(), [np.nan, 1.0])
+
+    @pytest.mark.parametrize("a, b", [([np.nan, 0.0], 0.0), ([np.inf, 0.0], 0.0),
+                                      ([1.0, 0.0], np.nan), ([1.0, 0.0], -np.inf)],
+                             ids=["a-nan", "a-inf", "b-nan", "b-inf"])
+    def test_l1_coefficients_must_be_finite(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            L1Component(a, b)
+
     def test_weights_length_checked(self):
         with pytest.raises(ValueError):
             make_l1_problem([[1.0, 0.0]], [0.0], self.box(), [0.5, 0.5])
