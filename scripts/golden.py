@@ -4,8 +4,8 @@ Writes GOLDEN.json at the repository root: one digest per case, plus the
 build that produced them (numpy, its BLAS, the CPU features numpy
 dispatches on, the machine and Python). The cases are
 
-- every Trace field (wall time aside) of m1-m4 x tests 1 and 5 x seeds
-  0-2 at 4097 iterations, at strides 1, 7 and the budget, and of
+- every Trace field (wall time aside) of m1-m4 x tests 1-6 x seeds 0-2
+  at 4097 iterations, at strides 1, 7 and the budget, and of
   network-walk's two runs with user components (seed 7);
 - the 24 trace CSVs and 8 summaries of run_suite (seeds 0-2, 2e4
   iterations; timing fields dropped from the summaries);
@@ -114,7 +114,7 @@ def trace_digest(trace) -> str:
 
 def trace_cases(cases: dict) -> None:
     for method in harness.METHODS:
-        for test in (1, 5):
+        for test in harness.TESTS:
             for stride in (1, 7, TRACE_BUDGET):
                 configs = [
                     harness.build_experiment(method, test, seed=s, budget=TRACE_BUDGET, stride=stride)
