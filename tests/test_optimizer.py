@@ -531,8 +531,8 @@ def reference_run(config):
     Each chain's two streams come from SeedSequence(seed, spawn_key=
     (chain index,)).spawn(2); the first picks the start state and every
     transition by inverse CDF, the second draws one noise row per
-    iteration. Only numpy and the config's data are used. Covers zero
-    and normal noise and both schedules.
+    iteration. Only numpy and the config's data are used. Covers all
+    four noise kinds and both schedules.
     """
     comps = config.problem.components
     A = np.vstack([c.a for c in comps])
@@ -583,7 +583,11 @@ def reference_run(config):
                 g = np.zeros(n)
             if r != 0.0:
                 max_norm = max(max_norm, float(applied_norms[s]))
-            if config.noise.kind == "normal_scaled":
+            if config.noise.kind == "uniform_decaying":
+                g = g + noises[c].random(n) * (1.0 / (k + 1))
+            elif config.noise.kind == "uniform_scaled":
+                g = g + noises[c].random(n) * config.noise.scale
+            elif config.noise.kind == "normal_scaled":
                 g = g + noises[c].standard_normal(n) * config.noise.scale
             subs.append(x - lam * g)
         x = np.clip(np.mean(subs, axis=0), lo, hi)
@@ -625,23 +629,46 @@ def assert_same_trace(trace, expected):
         assert np.array_equal(getattr(trace, field), want), field
 
 
-def scaled_noisy_config(budget=300, seed=0):
-    """Two chains, normal noise, a subgradient scale and stride 3."""
+def scaled_noisy_config(budget=300, seed=0, noise=None, chains=2):
+    """Normal noise (or the given one), a subgradient scale and stride 3.
+
+    Two chains are the study's; one is a chain from the uniform start,
+    which reaches every class; three are the study's two plus that one.
+    """
     config = study_config(
-        budget=budget, seed=seed, noise=NoiseModel.normal_scaled(0.1), stride=3
+        budget=budget, seed=seed, noise=noise or NoiseModel.normal_scaled(0.1), stride=3
     )
-    return replace(config, subgradient_scale=np.linspace(0.5, 1.5, config.problem.m))
+    uniform = ChainSpec(np.full(config.matrix.m, 1.0 / config.matrix.m), seed)
+    specs = {1: (uniform,), 2: config.chains, 3: config.chains + (uniform,)}[chains]
+    return replace(
+        config, chains=specs, subgradient_scale=np.linspace(0.5, 1.5, config.problem.m)
+    )
 
 
 class TestRunBatch:
-    def test_matches_reference_loop(self):
-        config = scaled_noisy_config(budget=300)
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseModel.zero(),
+            NoiseModel.uniform_decaying(),
+            NoiseModel.uniform_scaled(0.1),
+            NoiseModel.normal_scaled(0.1),
+        ],
+        ids=lambda noise: noise.kind,
+    )
+    def test_matches_reference_loop(self, noise):
+        config = scaled_noisy_config(budget=300, noise=noise)
         assert len(config.chains) == 2
         assert_same_trace(run_batch([config])[0], reference_run(config))
 
+    # one chain steps straight into the iterate; two chains are summed
+    # by one add and three by a chain of adds, each checked against
+    # np.clip(np.mean(...)) in the reference
+    @pytest.mark.parametrize("chains", [1, 2, 3])
     @pytest.mark.parametrize("budget", [1, 511, 513, 4097])
-    def test_block_edges_match_reference_loop(self, budget):
-        configs = [scaled_noisy_config(budget=budget, seed=s) for s in (0, 1)]
+    def test_block_edges_match_reference_loop(self, budget, chains):
+        configs = [scaled_noisy_config(budget=budget, seed=s, chains=chains) for s in (0, 1)]
+        assert len(configs[0].chains) == chains
         for trace, config in zip(run_batch(configs), configs):
             assert_same_trace(trace, reference_run(config))
 
