@@ -9,6 +9,13 @@ run(config) is a batch of one. Runs are bitwise reproducible: every
 chain owns two random streams derived from (chain index, seed), one for
 transitions and one for noise, so neither batch composition nor batch
 order can shift a draw.
+
+The engine works in blocks of BLOCK iterations. Once per block it walks
+the chains, draws the noise, builds the step candidates of all-L1
+problems (stepsize times subgradient row plus noise, for each sign),
+evaluates the objective and records. Once per iteration it computes
+only what depends on the iterate: the residuals, their signs, the
+lookup of each chain's step, the average and the clip.
 """
 
 from __future__ import annotations
@@ -404,11 +411,17 @@ def run_batch(configs) -> list[Trace]:
     any other batch, in any position. Each Trace's wall_time_s is the
     batch's wall time divided by the number of configs.
 
-    Work that depends on the iterate runs once per iteration for every
-    (run, chain) pair together. Chain walks, noise, objective values,
-    best-so-far tracking, first crossings and recording run once per
-    block of BLOCK iterations, and only the rows the stride records are
-    stored, so memory grows with the recorded rows, not with the budget.
+    Once per block of BLOCK iterations the engine runs the chain walks
+    and noise draws, then, for all-L1 problems, fills a candidate table
+    with lam_k * (g + noise_k) for g in [-a, 0, +a] of the component each
+    (run, chain) pair visits at k, in (BLOCK, S M 3, n) floats; after the
+    block come objective values, best-so-far tracking, first crossings
+    and recording. Once per iteration, for every pair together, it
+    computes the residuals and their signs, looks each pair's step up in
+    the table, and averages and clips the stack. Generic components call
+    their subgradient oracle per iteration and add the noise and
+    stepsize there. Only the rows the stride records are stored, so
+    memory grows with the recorded rows, not with the budget.
     """
     configs = list(configs)
     if not configs:
@@ -418,7 +431,6 @@ def run_batch(configs) -> list[Trace]:
         _warn_unreachable(config)
     first = configs[0]
     problem = first.problem
-    lower, upper = problem.feasible.lower, problem.feasible.upper
     n = problem.n
     K = first.budget
     S = len(configs)
@@ -427,8 +439,11 @@ def run_batch(configs) -> list[Trace]:
     noise = first.noise
     noisy = noise.kind != "zero"
     tables = _l1_tables(problem, scale)
-    if tables is not None:
-        rows, offsets, signed, norm_table = tables
+    fast = tables is not None
+    # the tail's operands all have the iterate stack's shape
+    lower = np.ascontiguousarray(np.broadcast_to(problem.feasible.lower, (S, n)))
+    upper = np.ascontiguousarray(np.broadcast_to(problem.feasible.upper, (S, n)))
+    chain_count = np.full((S, n), float(M))
 
     started = time.perf_counter()
     runtimes = [start_chains(config) for config in configs]
@@ -442,12 +457,8 @@ def run_batch(configs) -> list[Trace]:
     rec_best = np.empty((S, len(rec_k)))
     rec_states = np.empty((S, len(rec_k), M), dtype=np.int64)
 
-    # X[j] is the iterate stack after j steps of the current block; the
-    # views present it as columns for the residual matmul and as rows
-    # broadcast over the chains.
+    # X[j] is the iterate stack after j steps of the current block
     X = np.empty((BLOCK + 1, S, n))
-    X_col = X[:, :, np.newaxis, :, np.newaxis]
-    X_row = X[:, :, np.newaxis, :]
     X[0] = [config.x0 for config in configs]
     rec_states[:, 0] = [[rt.state.current for rt in chains] for chains in runtimes]
     best_f = _objectives(problem, tables, X[0])
@@ -466,9 +477,32 @@ def run_batch(configs) -> list[Trace]:
     sub = np.empty((S, M, n))
     residual = np.empty((S, M, 1, 1))
     flat_residual = residual.reshape(S, M)
-    if tables is not None:
+    # every per-iteration view is made once per run: X_next[j] is X[j],
+    # X_row[j] presents it broadcast over the chains, sub_cols[c] is
+    # chain c's candidate iterate
+    views = min(BLOCK, K)
+    X_next = list(X[: views + 1])
+    X_row = [x[:, np.newaxis, :] for x in X_next]
+    sub_cols = [sub[:, c] for c in range(M)]
+    later_cols = sub_cols[2:]
+    if fast:
+        rows, offsets, signed, norm_table = tables
+        signed = signed.reshape(problem.m, 3, n)
+        # cand[j, s, c] holds lam_j * ([-a, 0, +a] + noise_j) of the
+        # component pair (s, c) visits at step j, so the step is row
+        # base[s, c] + sign(residual) of cand[j] seen as (S M 3, n)
+        cand = np.empty((BLOCK, S, M, 3, n))
+        block_rows = np.empty((BLOCK, S, M, n))
+        block_offsets = np.empty((BLOCK, S, M))
+        # int8: the sign of a NaN residual casts to 0, the zero row
         signs = np.empty((BLOCK, S, M), dtype=np.int8)
         table_index = np.empty((S, M), dtype=np.intp)
+        base = (3 * np.arange(S * M) + 1).reshape(S, M)
+        X_col = [x[:, np.newaxis, :, np.newaxis] for x in X_next[:views]]
+        row_views = [r[:, :, np.newaxis, :] for r in block_rows[:views]]
+        offset_views = list(block_offsets[:views])
+        sign_views = list(signs[:views])
+        cand_views = [c.reshape(S * M * 3, n) for c in cand[:views]]
 
     for k0 in range(0, K, BLOCK):
         count = min(BLOCK, K - k0)
@@ -482,19 +516,28 @@ def run_batch(configs) -> list[Trace]:
         states = walked[:count]
         # stepsizes for k0 .. k0 + count: the last is recorded, not applied
         lams = _stepsizes(first.schedule, k0, count + 1)
-        if tables is not None:
-            block_rows = rows[states][:, :, :, np.newaxis, :]
-            block_offsets = offsets[states]
-            block_base = 3 * states + 1
-        for j, lam_j in enumerate(lams[:count].tolist()):
-            if tables is not None:
-                np.matmul(block_rows[j], X_col[j], out=residual)
-                np.subtract(flat_residual, block_offsets[j], out=flat_residual)
-                np.sign(flat_residual, out=signs[j], casting="unsafe")
-                np.add(signs[j], block_base[j], out=table_index)
-                signed.take(table_index, axis=0, out=step, mode="clip")
+        if fast:
+            # the walks' states are in range, so clip mode only skips the
+            # bounds pass and take's copy of out
+            np.take(rows, states, axis=0, out=block_rows[:count], mode="clip")
+            np.take(offsets, states, out=block_offsets[:count], mode="clip")
+            steps = cand[:count]
+            np.take(signed, states, axis=0, out=steps, mode="clip")
+            if noisy:
+                np.add(steps, noise_rows[:count, :, :, np.newaxis, :], out=steps)
+            np.multiply(steps, lams[:count, np.newaxis, np.newaxis, np.newaxis, np.newaxis],
+                        out=steps)
+        else:
+            lam_list = lams.tolist()
+        for j in range(count):
+            if fast:
+                np.matmul(row_views[j], X_col[j], out=residual)
+                np.subtract(flat_residual, offset_views[j], out=flat_residual)
+                np.sign(flat_residual, out=sign_views[j], casting="unsafe")
+                np.add(sign_views[j], base, out=table_index)
+                cand_views[j].take(table_index, axis=0, out=step, mode="clip")
             else:
-                x = X[j]
+                x = X_next[j]
                 for s in range(S):
                     for c in range(M):
                         i = states[j, s, c]
@@ -505,23 +548,25 @@ def run_batch(configs) -> list[Trace]:
                 # stacked g @ g: bitwise the dot inside np.linalg.norm(g)
                 np.matmul(step[:, :, np.newaxis, :], step[:, :, :, np.newaxis], out=residual)
                 np.sqrt(flat_residual, out=norms[j])
-            if noisy:
-                np.add(step, noise_rows[j], out=step)
-            np.multiply(step, lam_j, out=step)
-            x_next = X[j + 1]
-            # add.reduce then divide is np.mean (one chain's step is its
-            # own mean); maximum then minimum is np.clip, signed zeros and
-            # NaN included
+                if noisy:
+                    np.add(step, noise_rows[j], out=step)
+                np.multiply(step, lam_list[j], out=step)
+            x_next = X_next[j + 1]
+            # adding the chains' columns in order, then dividing, is
+            # np.mean (one chain's step is its own mean); maximum then
+            # minimum is np.clip, signed zeros and NaN included
             if M == 1:
                 np.subtract(X_row[j], step, out=X_row[j + 1])
             else:
                 np.subtract(X_row[j], step, out=sub)
-                np.add.reduce(sub, axis=1, out=x_next)
-                np.divide(x_next, M, out=x_next)
+                np.add(sub_cols[0], sub_cols[1], out=x_next)
+                for column in later_cols:
+                    np.add(x_next, column, out=x_next)
+                np.divide(x_next, chain_count, out=x_next)
             np.maximum(x_next, lower, out=x_next)
             np.minimum(x_next, upper, out=x_next)
 
-        if tables is not None:
+        if fast:
             np.multiply(signs[:count] != 0, norm_table[states], out=norms[:count])
         np.fmax(max_norm, np.fmax.reduce(norms[:count], axis=(0, 2)), out=max_norm)
         f = _objectives(problem, tables, X[1 : count + 1].reshape(count * S, n))
