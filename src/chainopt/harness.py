@@ -154,11 +154,8 @@ def _check_method(method: str) -> str:
 
 
 def _check_test(test: int) -> int:
-    try:
-        value = int(test)
-    except (TypeError, ValueError, OverflowError):
-        raise UnknownTestError(f"noise test must be an integer in 1..6, got {test!r}")
-    if isinstance(test, (bool, np.bool_)) or value != float(test) or value not in TESTS:
+    value = _check_count(test, "noise test", 1, UnknownTestError)
+    if value not in TESTS:
         raise UnknownTestError(f"unknown noise test {test!r}, expected one of {TESTS}")
     return value
 
@@ -307,7 +304,13 @@ def build_experiment(
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One suite: a method, a noise test, seeds, and an output directory."""
+    """One suite: a method, a noise test, seeds, and an output directory.
+
+    Checked when built: at least one seed, no seed twice, and a budget
+    of at least 1 (InvalidSpecError). seeds is kept as a tuple. The
+    method, the test and each seed are checked when run_suite builds
+    the runs.
+    """
 
     method: str
     test: int
@@ -315,6 +318,16 @@ class ExperimentSpec:
     budget: int = 100_000
     schedule: object = None
     out: str = "study_out"
+
+    def __post_init__(self):
+        seeds = tuple(self.seeds)
+        if not seeds:
+            raise InvalidSpecError("experiment spec needs at least one seed")
+        if len(set(seeds)) != len(seeds):
+            raise InvalidSpecError(f"experiment spec repeats a seed: {seeds}")
+        if self.budget < 1:
+            raise InvalidSpecError(f"budget must be at least 1, got {self.budget}")
+        object.__setattr__(self, "seeds", seeds)
 
 
 def first_crossings(trace) -> dict:
@@ -349,13 +362,6 @@ def run_suite(spec: ExperimentSpec) -> dict:
     """
     method = _check_method(spec.method)
     test = _check_test(spec.test)
-    seeds = tuple(spec.seeds)
-    if not seeds:
-        raise InvalidSpecError("experiment spec needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise InvalidSpecError(f"experiment spec repeats a seed: {seeds}")
-    if spec.budget < 1:
-        raise InvalidSpecError(f"budget must be at least 1, got {spec.budget}")
     csv_stride = max(1, spec.budget // 10_000)
     started = time.perf_counter()
     # built before the output directory, so a bad seed or budget writes nothing
@@ -363,7 +369,7 @@ def run_suite(spec: ExperimentSpec) -> dict:
         build_experiment(
             method, test, seed=seed, schedule=spec.schedule, budget=spec.budget, stride=csv_stride
         )
-        for seed in seeds
+        for seed in spec.seeds
     ]
     seeds = [config.chains[0].seed for config in configs]  # as ints, for the JSON summary
     out_dir = Path(spec.out)

@@ -208,8 +208,11 @@ class RunConfig:
             raise ValueError(f"x0 must have shape ({n},), got {self.x0.shape}")
         if not np.array_equal(project(self.problem.feasible, self.x0), self.x0):
             raise ValueError("x0 must lie inside the feasible box")
-        for spec in self.chains:
-            markov._check_distribution(spec.init_dist, m)
+        for index, spec in enumerate(self.chains):
+            try:
+                markov._check_distribution(spec.init_dist, m)
+            except markov.InvalidDistributionError as exc:
+                raise ValueError(f"chain {index} start: {exc}") from None
         if self.subgradient_scale is not None:
             scale = _frozen_copy(self.subgradient_scale)
             if scale.shape != (m,):

@@ -109,7 +109,7 @@ class TestBuildExperiment:
         with pytest.raises(UnknownTestError):
             build_experiment("m1", 0)
         # bools and non-integral numbers are not test numbers
-        for test in (1.9, True, 5.5):
+        for test in (1.9, True, 5.5, 5.0):
             with pytest.raises(UnknownTestError):
                 build_experiment("m1", test)
             with pytest.raises(UnknownTestError):
@@ -266,19 +266,14 @@ class TestRunSuite:
         )
         assert run_suite(spec)["chains"] == 2
 
+    # a spec checks its seeds and budget when built
     def test_empty_seeds_rejected(self, tmp_path):
-        spec = ExperimentSpec(
-            method="m3", test=1, seeds=(), budget=100, out=str(tmp_path)
-        )
         with pytest.raises(InvalidSpecError):
-            run_suite(spec)
+            ExperimentSpec(method="m3", test=1, seeds=(), budget=100, out=str(tmp_path))
 
     def test_duplicate_seeds_rejected(self, tmp_path):
-        spec = ExperimentSpec(
-            method="m3", test=1, seeds=(0, 0, 1), budget=100, out=str(tmp_path)
-        )
         with pytest.raises(InvalidSpecError, match="repeats a seed"):
-            run_suite(spec)
+            ExperimentSpec(method="m3", test=1, seeds=(0, 0, 1), budget=100, out=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("seed", [-1, 0.5], ids=["negative", "fraction"])
@@ -297,11 +292,8 @@ class TestRunSuite:
         assert not out.exists()
 
     def test_zero_budget_rejected(self, tmp_path):
-        spec = ExperimentSpec(
-            method="m3", test=1, seeds=(0,), budget=0, out=str(tmp_path)
-        )
         with pytest.raises(InvalidSpecError):
-            run_suite(spec)
+            ExperimentSpec(method="m3", test=1, seeds=(0,), budget=0, out=str(tmp_path))
 
     def test_noise_severity_orders_median_crossings(self):
         """Intended mild stochastic ordering: the median first-crossing

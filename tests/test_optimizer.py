@@ -418,6 +418,14 @@ class TestRunValidation:
         with pytest.raises(ValueError, match=f"got {seed!r}"):
             replace(config.chains[0], seed=seed)
 
+    def test_chain_start_must_be_distribution_naming_chain(self):
+        config = cyclic_config(small_problem())
+        with pytest.raises(ValueError, match=r"^chain 0 start: distribution must be a vector "
+                           r"of length 3, got shape \(2,\)$"):
+            replace(config, chains=(ChainSpec([0.5, 0.5], 0),))
+        with pytest.raises(ValueError, match=r"^chain 1 start: distribution sums to 1 "):
+            replace(config, chains=(config.chains[0], ChainSpec([0.5, 0.2, 0.2], 1)))
+
     def test_chain_start_is_frozen_copy(self):
         start = np.array([1.0, 0.0, 0.0])
         spec = ChainSpec(init_dist=start, seed=0)
