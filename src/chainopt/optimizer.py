@@ -369,9 +369,10 @@ def _check_shared(configs: list[RunConfig]) -> None:
 def _l1_tables(problem: ConvexSumProblem, scale):
     """Stacked rows, offsets, signed subgradients and their norms, or None.
 
-    The signed table holds [-a, 0, +a] for each component, already
-    multiplied by its subgradient scale, so row 3 i + 1 + sign(r) is the
-    applied subgradient of component i at residual r.
+    The signed table, of shape (m, 3, n), holds [-a, 0, +a] for each
+    component, already multiplied by its subgradient scale, so entry
+    [i, 1 + sign(r)] is the applied subgradient of component i at
+    residual r.
     """
     if not all(isinstance(c, L1Component) for c in problem.components):
         return None
@@ -382,7 +383,7 @@ def _l1_tables(problem: ConvexSumProblem, scale):
     if scale is not None:
         signed = signed * scale[:, np.newaxis, np.newaxis]
         norms = norms * scale
-    return rows, offsets, signed.reshape(-1, problem.n), norms
+    return rows, offsets, signed, norms
 
 
 def _objectives(problem: ConvexSumProblem, tables, points: np.ndarray) -> np.ndarray:
@@ -480,17 +481,16 @@ def run_batch(configs) -> list[Trace]:
     sub = np.empty((S, M, n))
     residual = np.empty((S, M, 1, 1))
     flat_residual = residual.reshape(S, M)
-    # every per-iteration view is made once per run: X_next[j] is X[j],
+    # every per-iteration view is made once per run: iterates[j] is X[j],
     # X_row[j] presents it broadcast over the chains, sub_cols[c] is
     # chain c's candidate iterate
     views = min(BLOCK, K)
-    X_next = list(X[: views + 1])
-    X_row = [x[:, np.newaxis, :] for x in X_next]
+    iterates = list(X[: views + 1])
+    X_row = [x[:, np.newaxis, :] for x in iterates]
     sub_cols = [sub[:, c] for c in range(M)]
     later_cols = sub_cols[2:]
     if fast:
         rows, offsets, signed, norm_table = tables
-        signed = signed.reshape(problem.m, 3, n)
         # cand[j, s, c] holds lam_j * ([-a, 0, +a] + noise_j) of the
         # component pair (s, c) visits at step j, so the step is row
         # base[s, c] + sign(residual) of cand[j] seen as (S M 3, n)
@@ -501,7 +501,7 @@ def run_batch(configs) -> list[Trace]:
         signs = np.empty((BLOCK, S, M), dtype=np.int8)
         table_index = np.empty((S, M), dtype=np.intp)
         base = (3 * np.arange(S * M) + 1).reshape(S, M)
-        X_col = [x[:, np.newaxis, :, np.newaxis] for x in X_next[:views]]
+        X_col = [x[:, np.newaxis, :, np.newaxis] for x in iterates[:views]]
         row_views = [r[:, :, np.newaxis, :] for r in block_rows[:views]]
         offset_views = list(block_offsets[:views])
         sign_views = list(signs[:views])
@@ -540,7 +540,7 @@ def run_batch(configs) -> list[Trace]:
                 np.add(sign_views[j], base, out=table_index)
                 cand_views[j].take(table_index, axis=0, out=step, mode="clip")
             else:
-                x = X_next[j]
+                x = iterates[j]
                 for s in range(S):
                     for c in range(M):
                         i = states[j, s, c]
@@ -554,7 +554,7 @@ def run_batch(configs) -> list[Trace]:
                 if noisy:
                     np.add(step, noise_rows[j], out=step)
                 np.multiply(step, lam_list[j], out=step)
-            x_next = X_next[j + 1]
+            x_next = iterates[j + 1]
             # adding the chains' columns in order, then dividing, is
             # np.mean (one chain's step is its own mean); maximum then
             # minimum is np.clip, signed zeros and NaN included
