@@ -444,7 +444,8 @@ def run_batch(configs) -> list[Trace]:
     noisy = noise.kind != "zero"
     tables = _l1_tables(problem, scale)
     fast = tables is not None
-    # the tail's operands all have the iterate stack's shape
+    # the tail's operands all have the iterate stack's shape: a ufunc call
+    # with a broadcast (n,) operand costs about twice a same-shape one
     lower = np.ascontiguousarray(np.broadcast_to(problem.feasible.lower, (S, n)))
     upper = np.ascontiguousarray(np.broadcast_to(problem.feasible.upper, (S, n)))
     chain_count = np.full((S, n), float(M))
