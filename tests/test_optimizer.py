@@ -682,7 +682,6 @@ class TestRunBatch:
     )
     def test_block_edges_match_reference_loop(self, budget, chains):
         configs = [scaled_noisy_config(budget=budget, seed=s, chains=chains) for s in (0, 1)]
-        assert len(configs[0].chains) == chains
         for trace, config in zip(run_batch(configs), configs):
             assert_same_trace(trace, reference_run(config))
 
