@@ -9,8 +9,9 @@ dispatches on, the machine and Python). The cases are
   network-walk's two runs with user components (seed 7);
 - the 24 trace CSVs and 8 summaries of run_suite (seeds 0-2, 2e4
   iterations; timing fields dropped from the summaries);
-- the CLI's decompose, weights and decay output on network-walk's 11
-  chains (seed 7), and three `chainopt run` summaries;
+- the bytes write_matrix_text writes for network-walk's 11 chains
+  (seed 7), and the CLI's decompose, weights and decay output on them,
+  and three `chainopt run` summaries;
 - decompose, the Cesaro limit, weights_from_chains, power_limit and
   decay_diagnostic on the 7- and 9-state fixtures and on 300 random
   1-8-state chains with zero entries;
@@ -145,8 +146,10 @@ def untimed(value):
 
 
 def network_cases(cases: dict, work: Path) -> list:
-    """CLI output and user-component runs on network-walk's chains; returns the chains."""
+    """Matrix files, CLI output and user-component runs on network-walk's chains; returns the chains."""
     nw = network.NetworkWalk(7, work)
+    for net in nw.nets:
+        cases[f"file/{net.name}"] = digest(Path(nw.files[net.name][0]).read_bytes())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for net in nw.nets:
