@@ -25,9 +25,9 @@ from .optimizer import (
     ConstantStepsize,
     DiminishingBlockStepsize,
     RunConfig,
-    run_batch,
-    write_trace_csv,
+    _write_trace_csvs,
     make_baseline,
+    run_batch,
 )
 from .problems import Box, NoiseModel, make_l1_problem, project, weights_from_chains
 
@@ -306,10 +306,11 @@ def build_experiment(
 class ExperimentSpec:
     """One suite: a method, a noise test, seeds, and an output directory.
 
-    Checked when built: at least one seed, no seed twice, and a budget
-    of at least 1 (InvalidSpecError). seeds is kept as a tuple. The
-    method, the test and each seed are checked when run_suite builds
-    the runs.
+    Checked when built: the method (UnknownMethodError) and the noise
+    test (UnknownTestError), kept normalised ("M1" becomes "m1"), at
+    least one seed, no seed twice, and a budget of at least 1
+    (InvalidSpecError). seeds is kept as a tuple. Each seed, and the
+    budget as an integer, are checked when run_suite builds the runs.
     """
 
     method: str
@@ -320,6 +321,8 @@ class ExperimentSpec:
     out: str = "study_out"
 
     def __post_init__(self):
+        object.__setattr__(self, "method", _check_method(self.method))
+        object.__setattr__(self, "test", _check_test(self.test))
         seeds = tuple(self.seeds)
         if not seeds:
             raise InvalidSpecError("experiment spec needs at least one seed")
@@ -354,14 +357,14 @@ def run_suite(spec: ExperimentSpec) -> dict:
     All seeds run as one run_batch at the CSV stride, about 10^4 rows
     per seed so files stay reviewable. Each seed produces one CSV and
     one entry in the summary, whose first crossings are the engine's
-    exact record. The summary records per-threshold first-crossing
-    iterations with median and interquartile range over seeds, best
-    objective values, and per-iteration timing. A seed's wall_time_s and
-    ns_per_iteration are the batch's wall time divided by the number of
-    seeds.
+    exact record. The batch's CSVs are written in one pass, which
+    formats the k and lambda columns the seeds share once. The summary
+    records per-threshold first-crossing iterations with median and
+    interquartile range over seeds, best objective values, and
+    per-iteration timing. A seed's wall_time_s and ns_per_iteration are
+    the batch's wall time divided by the number of seeds.
     """
-    method = _check_method(spec.method)
-    test = _check_test(spec.test)
+    method, test = spec.method, spec.test
     csv_stride = max(1, spec.budget // 10_000)
     started = time.perf_counter()
     # built before the output directory, so a bad seed or budget writes nothing
@@ -374,24 +377,23 @@ def run_suite(spec: ExperimentSpec) -> dict:
     seeds = [config.chains[0].seed for config in configs]  # as ints, for the JSON summary
     out_dir = Path(spec.out)
     os.makedirs(out_dir, exist_ok=True)
-    per_seed = []
-    for seed, trace in zip(seeds, run_batch(configs)):
-        crossings = first_crossings(trace)
-        csv_name = f"{method}_test{test}_seed{seed}.csv"
-        write_trace_csv(trace, out_dir / csv_name)
-        per_seed.append(
-            {
-                "seed": seed,
-                "first_crossing": crossings,
-                "best_f": float(trace.best_f[-1]),
-                "best_k": int(trace.best_k),
-                "final_f": float(trace.f[-1]),
-                "wall_time_s": trace.wall_time_s,
-                "ns_per_iteration": trace.ns_per_iteration,
-                "max_subgradient_norm": trace.max_subgradient_norm,
-                "trace_csv": csv_name,
-            }
-        )
+    traces = run_batch(configs)
+    csv_names = [f"{method}_test{test}_seed{seed}.csv" for seed in seeds]
+    _write_trace_csvs(traces, [out_dir / name for name in csv_names])
+    per_seed = [
+        {
+            "seed": seed,
+            "first_crossing": first_crossings(trace),
+            "best_f": float(trace.best_f[-1]),
+            "best_k": int(trace.best_k),
+            "final_f": float(trace.f[-1]),
+            "wall_time_s": trace.wall_time_s,
+            "ns_per_iteration": trace.ns_per_iteration,
+            "max_subgradient_norm": trace.max_subgradient_norm,
+            "trace_csv": csv_name,
+        }
+        for seed, trace, csv_name in zip(seeds, traces, csv_names)
+    ]
     crossing_stats = {}
     for tau in CROSSING_THRESHOLDS:
         key = f"{tau:.0e}"

@@ -507,10 +507,41 @@ def read_matrix_text(path) -> TransitionMatrix:
 
 
 def write_matrix_text(P: TransitionMatrix, path) -> None:
-    """Write the plain-text matrix format with full round-trip precision."""
+    """Write the plain-text matrix format with full round-trip precision.
+
+    Each entry is written as Python's repr of the float, so each +0.0 is
+    `0.0`. The cost follows the distinct values, not the cells: every
+    run of +0.0 entries is a slice of one "0.0 " * m string, and repr
+    runs once per distinct bit pattern among the other entries (the
+    positive ones and any -0.0). Apart from the text of one row, the
+    temporaries hold a few numbers per such entry.
+    """
+    m = P.m
+    bits = P.matrix.reshape(-1).view(np.int64)
+    # +0.0 is the one float whose bits are all zero; -0.0 has the sign bit
+    flat = np.flatnonzero(bits)
+    patterns, codes = np.unique(bits[flat], return_inverse=True)
+    texts = [repr(v) for v in patterns.view(np.float64).tolist()]
+    rows, cols = np.divmod(flat, m)
+    # every row of a stochastic matrix holds a positive entry, so none is empty
+    bounds = np.searchsorted(rows, np.arange(m + 1))
+    prev = np.empty_like(cols)
+    prev[1:] = cols[:-1]
+    prev[bounds[:-1]] = -1
+    # characters of "0.0 " * m before each entry, and of " 0.0" * m after a row's last
+    gaps = (4 * (cols - prev - 1)).tolist()
+    tails = (4 * (m - 1 - cols[bounds[1:] - 1])).tolist()
+    codes = codes.tolist()
+    bounds = bounds.tolist()
+    zeros, trailing = "0.0 " * m, " 0.0" * m
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{P.m}\n")
-        fh.writelines(" ".join(map(repr, row.tolist())) + "\n" for row in P.matrix)
+        fh.write(f"{m}\n")
+        fh.writelines(
+            " ".join([zeros[:g] + texts[c] for g, c in zip(gaps[a:b], codes[a:b])])
+            + trailing[:t]
+            + "\n"
+            for a, b, t in zip(bounds[:-1], bounds[1:], tails)
+        )
 
 
 def read_distribution_text(path, m: int | None = None) -> np.ndarray:

@@ -21,9 +21,11 @@ lookup of each chain's step, the average and the clip.
 from __future__ import annotations
 
 import csv
+import itertools
 import sys
 import time
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -688,24 +690,66 @@ def write_trace_csv(trace: Trace, path) -> None:
     """Emit the recorded rows; floats use repr so parsing is lossless.
 
     The bytes are what csv.writer writes for these rows (no field needs
-    quoting, and lines end in CRLF), built from column slices of
-    CSV_CHUNK rows so memory stays flat for long traces.
+    quoting, and lines end in CRLF). A one-trace call of the writer that
+    run_suite calls once per batch.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("k,f,best_f,lambda,states\r\n")
-        for start in range(0, len(trace), CSV_CHUNK):
+    _write_trace_csvs([trace], [path])
+
+
+def _repr_runs(values: np.ndarray, prefix: str, suffix: str) -> list[str]:
+    """prefix + repr + suffix of each value, formatted once per run of equal bits."""
+    bits = values.view(np.int64)
+    starts = np.ones(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    texts = [f"{prefix}{v!r}{suffix}" for v in values[starts].tolist()]
+    return [texts[i] for i in (np.cumsum(starts) - 1).tolist()]
+
+
+def _write_trace_csvs(traces, paths) -> None:
+    """Write each trace to its path, as write_trace_csv does, in one pass.
+
+    The files are written side by side in slices of CSV_CHUNK rows, so
+    memory stays flat for long traces. Traces that share their k and
+    lam arrays, as the traces of one batch do, share the formatted text
+    of those columns. Each run of equal best_f (and lam) values is
+    formatted once, and state labels are looked up in a table of m
+    strings, one per state.
+    """
+    m = max((int(t.states.max()) + 1 for t in traces if t.states.size), default=0)
+    # a row's label: a `mid` entry for each chain but the last, whose `last` entry ends the row
+    mid = [f"{s}|" for s in range(1, m + 1)]
+    last = [f"{s}\r\n" for s in range(1, m + 1)]
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w", encoding="utf-8", newline="")) for p in paths]
+        for fh in files:
+            fh.write("k,f,best_f,lambda,states\r\n")
+        for start in range(0, max(map(len, traces), default=0), CSV_CHUNK):
             rows = slice(start, start + CSV_CHUNK)
-            labels = ["|".join(map(str, row)) for row in (trace.states[rows] + 1).tolist()]
-            fh.writelines(
-                f"{k},{f!r},{best_f!r},{lam!r},{states}\r\n"
-                for k, f, best_f, lam, states in zip(
-                    trace.k[rows].tolist(),
-                    trace.f[rows].tolist(),
-                    trace.best_f[rows].tolist(),
-                    trace.lam[rows].tolist(),
-                    labels,
+            shared = {}
+            for trace, fh in zip(traces, files):
+                key = (id(trace.k), id(trace.lam))
+                if key not in shared:
+                    shared[key] = (
+                        [f"{k}," for k in trace.k[rows].tolist()],
+                        _repr_runs(trace.lam[rows], ",", ","),
+                    )
+                ks, lams = shared[key]
+                *heads, tail = trace.states[rows].T.tolist()
+                columns = [map(mid.__getitem__, col) for col in heads]
+                fh.write(
+                    "".join(
+                        itertools.chain.from_iterable(
+                            zip(
+                                ks,
+                                map(repr, trace.f[rows].tolist()),
+                                _repr_runs(trace.best_f[rows], ",", ""),
+                                lams,
+                                *columns,
+                                map(last.__getitem__, tail),
+                            )
+                        )
+                    )
                 )
-            )
 
 
 def parse_trace_csv(path) -> dict:

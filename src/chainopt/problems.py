@@ -154,8 +154,8 @@ def objective(problem: ConvexSumProblem, x) -> float:
     for all-L1 problems is tested against it.
     """
     total = 0.0
-    for w, comp in zip(problem.weights, problem.components):
-        total += float(w) * comp.value(x)
+    for w, comp in zip(problem.weights.tolist(), problem.components):
+        total += w * comp.value(x)
     return total
 
 

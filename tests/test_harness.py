@@ -266,7 +266,7 @@ class TestRunSuite:
         )
         assert run_suite(spec)["chains"] == 2
 
-    # a spec checks its seeds and budget when built
+    # a spec checks its method, test, seeds and budget when built
     def test_empty_seeds_rejected(self, tmp_path):
         with pytest.raises(InvalidSpecError):
             ExperimentSpec(method="m3", test=1, seeds=(), budget=100, out=str(tmp_path))
@@ -294,6 +294,29 @@ class TestRunSuite:
     def test_zero_budget_rejected(self, tmp_path):
         with pytest.raises(InvalidSpecError):
             ExperimentSpec(method="m3", test=1, seeds=(0,), budget=0, out=str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "method, test, error",
+        [
+            ("m9", 7, UnknownMethodError),
+            ("", 1, UnknownMethodError),
+            ("m3", 7, UnknownTestError),
+            ("m3", 0, UnknownTestError),
+            ("m3", 5.0, UnknownTestError),
+        ],
+        ids=["method-m9", "method-empty", "test-7", "test-0", "test-float"],
+    )
+    def test_bad_method_or_test_rejected_when_built(self, tmp_path, method, test, error):
+        with pytest.raises(error):
+            ExperimentSpec(method, test, (0,), budget=10, out=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    def test_method_and_test_kept_normalised(self, tmp_path):
+        spec = ExperimentSpec("M3", np.int64(1), (0,), budget=10, out=str(tmp_path))
+        assert (spec.method, spec.test) == ("m3", 1)
+        assert type(spec.test) is int
+        assert run_suite(spec)["method"] == "m3"
+        assert (tmp_path / "m3_test1_seed0.csv").exists()
 
     def test_noise_severity_orders_median_crossings(self):
         """Intended mild stochastic ordering: the median first-crossing

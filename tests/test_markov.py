@@ -599,6 +599,15 @@ class TestSampling:
 # --------------------------------------------------------------------- io
 
 
+def ring_matrix(m):
+    """A ring of m states stepping -2..2 (weights 0.1, 0.2, 0.4, 0.2, 0.1)."""
+    mat = np.zeros((m, m))
+    i = np.arange(m)
+    for d, w in zip(range(-2, 3), (0.1, 0.2, 0.4, 0.2, 0.1)):
+        mat[i, (i + d) % m] = w
+    return validate_stochastic(mat)
+
+
 class TestTextIO:
     def test_matrix_round_trip(self, tmp_path, nine_state):
         path = tmp_path / "mat.txt"
@@ -655,12 +664,34 @@ class TestTextIO:
         write_matrix_text(mat, path)
         assert np.array_equal(read_matrix_text(path).matrix, mat.matrix)
 
-    @pytest.mark.parametrize("which", ["nine", "tiny"])
+    @pytest.mark.parametrize(
+        "which",
+        ["nine", "tiny", "ring-300", "dense-blocks", "edge-columns", "negative-zero", "subnormal"],
+    )
     def test_writer_bytes_match_per_entry_repr(self, tmp_path, nine_state, which):
-        tiny = validate_stochastic(
-            [[1.0 - 1e-13, 1e-13, 5e-324], [-0.0, 0.25, 0.75], [0.0, 0.0, 1.0]]
-        )
-        mat = nine_state if which == "nine" else tiny
+        if which == "nine":
+            mat = nine_state
+        elif which == "tiny":
+            mat = validate_stochastic(
+                [[1.0 - 1e-13, 1e-13, 5e-324], [-0.0, 0.25, 0.75], [0.0, 0.0, 1.0]]
+            )
+        elif which == "ring-300":
+            mat = ring_matrix(300)
+        elif which == "dense-blocks":
+            mat = validate_stochastic(coupled_blocks(0.1, 20))
+        elif which == "edge-columns":
+            # rows whose one positive entry sits in the first or the last column
+            mat = validate_stochastic(
+                [[1, 0, 0, 0], [0, 0, 0, 1], [0.5, 0, 0, 0.5], [0, 1, 0, 0]]
+            )
+        elif which == "negative-zero":
+            mat = validate_stochastic(
+                [[-0.0, 0.5, -0.0, 0.5, -0.0], [0.2, -0.0, 0.0, 0.3, 0.5],
+                 [-0.0, -0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -0.0, -0.0],
+                 [1.0, 0.0, -0.0, 0.0, -0.0]]
+            )
+        else:
+            mat = validate_stochastic([[1.0 - 5e-324, 5e-324, 0.0], [5e-324, 0.0, 1.0], [0.0, 0.0, 1.0]])
         path = tmp_path / "mat.txt"
         write_matrix_text(mat, path)
         expected = "\n".join(
@@ -669,6 +700,17 @@ class TestTextIO:
         assert path.read_bytes() == expected.encode("utf-8")
         back = read_matrix_text(path).matrix
         assert back.tobytes() == mat.matrix.tobytes()
+
+    def test_write_peak_memory_is_below_the_matrix(self, tmp_path):
+        # the +0.0 runs are slices of one string: no object per cell
+        mat = ring_matrix(2000)
+        tracemalloc.start()
+        try:
+            write_matrix_text(mat, tmp_path / "ring.txt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mat.matrix.nbytes / 4, peak / mat.matrix.nbytes
 
     @pytest.mark.parametrize(
         "text",

@@ -36,7 +36,7 @@ from chainopt import (
     write_trace_csv,
 )
 from chainopt.harness import NEIGHBOR_SETS, study_design, study_weights
-from chainopt.optimizer import BLOCK, _stepsizes
+from chainopt.optimizer import BLOCK, CSV_CHUNK, _stepsizes, _write_trace_csvs
 
 from conftest import unit_mass
 
@@ -801,6 +801,34 @@ class TestMakeBaseline:
 # ------------------------------------------------------------------- traces
 
 
+def write_reference_csv(trace, path):
+    """The trace CSV as csv.writer writes it, one repr per float."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "f", "best_f", "lambda", "states"])
+        for i in range(len(trace)):
+            writer.writerow(
+                [
+                    int(trace.k[i]),
+                    repr(float(trace.f[i])),
+                    repr(float(trace.best_f[i])),
+                    repr(float(trace.lam[i])),
+                    "|".join(str(int(s) + 1) for s in trace.states[i]),
+                ]
+            )
+
+
+def assert_batch_bytes(tmp_path, traces):
+    """One _write_trace_csvs call writes, per trace, write_trace_csv's bytes and the reference's."""
+    paths = [tmp_path / f"batch{i}.csv" for i in range(len(traces))]
+    _write_trace_csvs(traces, paths)
+    for trace, path in zip(traces, paths):
+        write_trace_csv(trace, tmp_path / "single.csv")
+        write_reference_csv(trace, tmp_path / "reference.csv")
+        assert path.read_bytes() == (tmp_path / "single.csv").read_bytes()
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 class TestTraceIO:
     def test_csv_round_trip_lossless(self, tmp_path):
         trace = run(study_config(budget=150, stride=10))
@@ -830,20 +858,42 @@ class TestTraceIO:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         reference = tmp_path / "reference.csv"
-        with open(reference, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "f", "best_f", "lambda", "states"])
-            for i in range(len(trace)):
-                writer.writerow(
-                    [
-                        int(trace.k[i]),
-                        repr(float(trace.f[i])),
-                        repr(float(trace.best_f[i])),
-                        repr(float(trace.lam[i])),
-                        "|".join(str(int(s) + 1) for s in trace.states[i]),
-                    ]
-                )
+        write_reference_csv(trace, reference)
         assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("chains", [1, 2, 3])
+    def test_batch_csvs_match_single_writer(self, tmp_path, chains, stride):
+        noise = NoiseModel.normal_scaled(0.1)
+        configs = [
+            cyclic_config(
+                small_problem(), budget=1500 * stride, noise=noise, seeds=range(s, s + chains), stride=stride
+            )
+            for s in (0, 10, 20)
+        ]
+        traces = run_batch(configs)
+        assert traces[0].k is traces[1].k and traces[0].lam is traces[2].lam
+        assert len(traces[0]) > CSV_CHUNK
+        assert_batch_bytes(tmp_path, traces)
+
+    def test_batch_csvs_with_one_best_f_run(self, tmp_path):
+        # a zero stepsize never moves the iterate: best_f is one run
+        configs = [
+            cyclic_config(small_problem(), budget=2500, schedule=ConstantStepsize(0.0), seeds=(s, s + 1))
+            for s in (0, 1)
+        ]
+        traces = run_batch(configs)
+        assert np.unique(traces[0].best_f).size == 1
+        assert_batch_bytes(tmp_path, traces)
+
+    def test_csvs_of_traces_that_share_no_arrays(self, tmp_path):
+        traces = [
+            run(cyclic_config(small_problem(), budget=1500, seeds=(0,))),
+            run(study_config(budget=2500, stride=3)),
+            run(cyclic_config(small_problem(), budget=40, seeds=(0, 1, 2), stride=7)),
+        ]
+        assert traces[0].k is not traces[1].k
+        assert_batch_bytes(tmp_path, traces)
 
     def test_parse_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "trace.csv"
