@@ -5,8 +5,10 @@ build that produced them (numpy, its BLAS, the CPU features numpy
 dispatches on, the machine and Python). The cases are
 
 - every Trace field (wall time aside) of m1-m4 x tests 1-6 x seeds 0-2
-  at 4097 iterations, at strides 1, 7 and the budget, and of
-  network-walk's two runs with user components (seed 7);
+  at 4097 iterations, at strides 1, 7 and the budget, of m1 and m3 x
+  tests 1, 2 and 5 x seeds 0-2 at stride 7 with the study problem's
+  components wrapped as user components (tests/conftest.py's PlainAbs),
+  and of network-walk's two runs with user components (seed 7);
 - the 24 trace CSVs and 8 summaries of run_suite (seeds 0-2, 2e4
   iterations; timing fields dropped from the summaries);
 - the bytes write_matrix_text writes for network-walk's 11 chains
@@ -40,7 +42,7 @@ import platform  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
-from dataclasses import asdict  # noqa: E402
+from dataclasses import asdict, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -54,7 +56,7 @@ from chainopt.problems import weights_from_chains  # noqa: E402
 
 import network  # noqa: E402  (perfbench's generated chains)
 from common import run_cli  # noqa: E402
-from conftest import NINE_STATE_ROWS, NINE_STATE_STARTS  # noqa: E402
+from conftest import NINE_STATE_ROWS, NINE_STATE_STARTS, plain_abs_problem  # noqa: E402
 
 TRACE_BUDGET = 4097
 SUITE_BUDGET = 20_000
@@ -123,6 +125,20 @@ def trace_cases(cases: dict) -> None:
                 ]
                 for seed, trace in zip(SEEDS, optimizer.run_batch(configs)):
                     cases[f"trace/{method}/test{test}/seed{seed}/stride{stride}"] = trace_digest(trace)
+
+
+def oracle_cases(cases: dict) -> None:
+    """The study problem through the oracle path: noise, a subgradient scale and S = 3."""
+    for method in ("m1", "m3"):
+        for test in (1, 2, 5):
+            configs = [
+                harness.build_experiment(method, test, seed=s, budget=TRACE_BUDGET, stride=7)
+                for s in SEEDS
+            ]
+            problem = plain_abs_problem(configs[0].problem)
+            configs = [replace(config, problem=problem) for config in configs]
+            for seed, trace in zip(SEEDS, optimizer.run_batch(configs)):
+                cases[f"trace/oracle/{method}/test{test}/seed{seed}"] = trace_digest(trace)
 
 
 def suite_cases(cases: dict, out: Path) -> None:
@@ -233,6 +249,7 @@ def compute() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         trace_cases(cases)
+        oracle_cases(cases)
         suite_cases(cases, work / "suite")
         nets = network_cases(cases, work / "network")
     chain_cases(cases, nets)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from chainopt import validate_stochastic
+from chainopt import ConvexSumProblem, validate_stochastic
 
 # 9-state reference chain: a period-2 class, a period-3 class, and two
 # transient states feeding both.
@@ -38,6 +38,42 @@ def unit_mass(m, state):
     vec = np.zeros(m)
     vec[state] = 1.0
     return vec
+
+
+class PlainAbs:
+    """|a . x - b| as a user component: value and subgradient only.
+
+    The same geometry as an L1Component, but not one, so a problem built
+    from these takes the optimizer's oracle path.
+    """
+
+    def __init__(self, a, b):
+        self.a = np.asarray(a, dtype=np.float64)
+        self.b = float(b)
+
+    def value(self, x):
+        return abs(float(self.a @ x) - self.b)
+
+    def subgradient(self, x):
+        r = float(self.a @ x) - self.b
+        if r > 0.0:
+            return self.a
+        if r < 0.0:
+            return -self.a
+        return np.zeros_like(self.a)
+
+
+def plain_abs_problem(problem, wrapped=None):
+    """The L1 problem with its components at `wrapped` (all by default) as PlainAbs."""
+    wrapped = range(problem.m) if wrapped is None else wrapped
+    return ConvexSumProblem(
+        n=problem.n,
+        components=tuple(
+            PlainAbs(c.a, c.b) if i in wrapped else c for i, c in enumerate(problem.components)
+        ),
+        feasible=problem.feasible,
+        weights=problem.weights,
+    )
 
 
 def coupled_blocks(e, block):

@@ -15,10 +15,12 @@ from chainopt import (
     CROSSING_THRESHOLDS,
     Box,
     ChainSpec,
+    ConvexSumProblem,
     ConstantStepsize,
     DiminishingBlockStepsize,
     InvalidNeighborsError,
     InvalidParametersError,
+    L1Component,
     NoiseModel,
     RunConfig,
     UnreachableClassWarning,
@@ -33,12 +35,13 @@ from chainopt import (
     stepsize,
     thin_trace,
     validate_stochastic,
+    weights_from_chains,
     write_trace_csv,
 )
 from chainopt.harness import NEIGHBOR_SETS, study_design, study_weights
 from chainopt.optimizer import BLOCK, CSV_CHUNK, _stepsizes, _write_trace_csvs
 
-from conftest import unit_mass
+from conftest import PlainAbs, plain_abs_problem, unit_mass
 
 
 def small_problem():
@@ -306,24 +309,7 @@ class TestRun:
 
     def test_generic_component_path_matches_l1(self):
         # wrapping the same geometry in non-L1 components must not change
-        # the trajectory (slow path vs stacked fast path)
-        class PlainAbs:
-            def __init__(self, a, b):
-                self.a = np.asarray(a, dtype=np.float64)
-                self.b = float(b)
-
-            def value(self, x):
-                return abs(float(self.a @ x) - self.b)
-
-            def subgradient(self, x):
-                r = float(self.a @ x) - self.b
-                if r > 0.0:
-                    return self.a
-                if r < 0.0:
-                    return -self.a
-                return np.zeros_like(self.a)
-
-        from chainopt import ConvexSumProblem
+        # the trajectory (oracle kernel vs L1 kernel)
 
         A = np.asarray([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         b = np.asarray([1.0, 2.0, -5.0])
@@ -530,6 +516,94 @@ class TestCyclicReduction:
         assert np.array_equal(trace.f, np.asarray(fs))
 
 
+# ------------------------------------------------------ weighted optimum
+
+
+# Separable L1 at n = 1: f(x) = sum_i w_i |x - b_i| is minimized at a
+# weighted median. States 1-2 are transient and feed the class {3, 4, 5},
+# whose stationary law is (9/11, 1/11, 1/11), so the chain's weights put
+# the optimum at b_3 = 4 while the uniform median of b is 1.
+MEDIAN_CHAIN = [
+    [0.5, 0.5, 0.0, 0.0, 0.0],
+    [0.0, 0.5, 0.5, 0.0, 0.0],
+    [0.0, 0.0, 0.8, 0.1, 0.1],
+    [0.0, 0.0, 0.9, 0.1, 0.0],
+    [0.0, 0.0, 0.9, 0.0, 0.1],
+]
+MEDIAN_OFFSETS = np.asarray([0.0, 1.0, 4.0, -3.0, 9.0])
+
+
+def weighted_median(values, weights):
+    order = np.argsort(values)
+    return float(values[order][np.searchsorted(np.cumsum(weights[order]), 0.5)])
+
+
+def median_configs(matrix, start, weights, noise, budget, seeds):
+    """One single-chain config per seed on the n = 1 problem, recording only the ends."""
+    problem = make_l1_problem(np.ones((5, 1)), MEDIAN_OFFSETS, Box([-10.0], [10.0]), weights)
+    decomp = decompose(matrix)
+    return [
+        RunConfig(
+            problem=problem,
+            matrix=matrix,
+            decomp=decomp,
+            chains=(ChainSpec(start, seed),),
+            schedule=DiminishingBlockStepsize(1.0, 0.75, 1),
+            noise=noise,
+            x0=np.zeros(1),
+            budget=budget,
+            stride=budget,
+        )
+        for seed in seeds
+    ]
+
+
+class TestWeightedOptimum:
+    """The iterates reach the minimizer of the chain-weighted objective."""
+
+    SEEDS = range(11)
+
+    def cases(self):
+        chain = validate_stochastic(MEDIAN_CHAIN)
+        start = unit_mass(5, 0)
+        weights = weights_from_chains([start], decompose(chain))
+        # doubly stochastic control: every component weighs 1/5
+        uniform, uniform_start = make_baseline("uniform_random", 5)
+        return {
+            "transient-fed": (chain, start, weights),
+            "doubly-stochastic": (uniform, uniform_start, np.full(5, 0.2)),
+        }
+
+    def test_chain_weights_are_not_uniform(self):
+        weights = self.cases()["transient-fed"][2]
+        assert np.allclose(weights, [0, 0, 9 / 11, 1 / 11, 1 / 11], rtol=0, atol=1e-15)
+        assert weighted_median(MEDIAN_OFFSETS, weights) == 4.0
+        assert weighted_median(MEDIAN_OFFSETS, np.full(5, 0.2)) == 1.0
+
+    # at 5e4 iterations the last stepsize is 3e-4; the measured worst
+    # seeds are 4.5e-4 (chain) and 4.2e-3 (control) from the optimum
+    @pytest.mark.parametrize("case, tol", [("transient-fed", 1e-3), ("doubly-stochastic", 1e-2)])
+    @pytest.mark.parametrize(
+        "noise", [NoiseModel.zero(), NoiseModel.normal_scaled(0.1)], ids=lambda n: n.kind
+    )
+    def test_final_iterate_is_weighted_median(self, case, tol, noise):
+        matrix, start, weights = self.cases()[case]
+        configs = median_configs(matrix, start, weights, noise, 50_000, self.SEEDS)
+        final = np.array([trace.final_x[0] for trace in run_batch(configs)])
+        assert np.abs(final - weighted_median(MEDIAN_OFFSETS, weights)).max() < tol, final
+
+    @pytest.mark.parametrize("case", ["transient-fed", "doubly-stochastic"])
+    @pytest.mark.parametrize(
+        "noise", [NoiseModel.zero(), NoiseModel.normal_scaled(0.1)], ids=lambda n: n.kind
+    )
+    def test_oracle_kernel_reaches_the_same_iterate(self, case, noise):
+        configs = median_configs(*self.cases()[case], noise, 2_000, (0, 1, 2))
+        problem = plain_abs_problem(configs[0].problem)
+        oracle = run_batch([replace(config, problem=problem) for config in configs])
+        for trace, expected in zip(oracle, run_batch(configs)):
+            assert np.array_equal(trace.final_x, expected.final_x)
+
+
 # ------------------------------------------------------------- batched runs
 
 
@@ -637,6 +711,15 @@ def assert_same_trace(trace, expected):
         assert np.array_equal(getattr(trace, field), want), field
 
 
+def assert_oracle_trace(trace, expected):
+    for field in TRACE_FIELDS:
+        got, want = getattr(trace, field), expected[field]
+        if field in ("f", "best_f", "max_subgradient_norm"):
+            assert np.allclose(got, want, rtol=0, atol=1e-12), field
+        else:
+            assert np.array_equal(got, want), field
+
+
 def scaled_noisy_config(budget=300, seed=0, noise=None, chains=2):
     """Normal noise (or the given one), a subgradient scale and stride 3.
 
@@ -684,6 +767,36 @@ class TestRunBatch:
         configs = [scaled_noisy_config(budget=budget, seed=s, chains=chains) for s in (0, 1)]
         for trace, config in zip(run_batch(configs), configs):
             assert_same_trace(trace, reference_run(config))
+
+    # user components take the oracle kernel; their objective sums
+    # component by component, so f, best_f and the norms may differ from
+    # the reference's dot in the last bits, and the rest must not
+    @pytest.mark.parametrize(
+        "budget, chains, noise",
+        [(budget, chains, None) for budget in (1, 511, 513, 1100) for chains in (1, 2, 3)]
+        + [(513, 2, NoiseModel.zero()), (513, 2, NoiseModel.uniform_decaying())],
+        ids=lambda value: value.kind if isinstance(value, NoiseModel) else str(value),
+    )
+    def test_oracle_kernel_matches_reference_loop(self, budget, chains, noise):
+        configs = [
+            scaled_noisy_config(budget=budget, seed=s, noise=noise, chains=chains) for s in (0, 1)
+        ]
+        # one problem object: the batch compares user components by identity
+        problem = plain_abs_problem(configs[0].problem)
+        configs = [replace(config, problem=problem) for config in configs]
+        for trace, config in zip(run_batch(configs), configs):
+            assert_oracle_trace(trace, reference_run(config))
+
+    def test_mixed_components_take_the_oracle_kernel(self, monkeypatch):
+        config = scaled_noisy_config(budget=600)
+        config = replace(config, problem=plain_abs_problem(config.problem, wrapped=(0, 3)))
+        calls = []
+        oracle = L1Component.subgradient
+        monkeypatch.setattr(
+            L1Component, "subgradient", lambda comp, x: calls.append(1) or oracle(comp, x)
+        )
+        assert_oracle_trace(run(config), reference_run(config))
+        assert calls
 
     @pytest.mark.parametrize("method", ["m1", "m2", "m3", "m4"])
     @pytest.mark.parametrize("test", [1, 2, 5])
