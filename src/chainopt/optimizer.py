@@ -10,12 +10,11 @@ chain owns two random streams derived from (chain index, seed), one for
 transitions and one for noise, so neither batch composition nor batch
 order can shift a draw.
 
-The engine works in blocks of BLOCK iterations. Once per block it walks
-the chains, draws the noise, builds the step candidates of all-L1
-problems (stepsize times subgradient row plus noise, for each sign),
-evaluates the objective and records. Once per iteration it computes
-only what depends on the iterate: the residuals, their signs, the
-lookup of each chain's step, the average and the clip.
+run_batch is a block driver over one of two step kernels. Once per block
+of BLOCK iterations it walks the chains, draws the noise and stepsizes,
+averages and clips the steps the kernel yields, and evaluates and records
+the block. The L1 kernel looks all-L1 steps up in a table built per
+block; the oracle kernel calls each component's subgradient.
 """
 
 from __future__ import annotations
@@ -368,41 +367,107 @@ def _check_shared(configs: list[RunConfig]) -> None:
             )
 
 
-def _l1_tables(problem: ConvexSumProblem, scale):
-    """Stacked rows, offsets, signed subgradients and their norms, or None.
+class _L1Kernel:
+    """Steps of all-L1 problems, looked up in a candidate table per block.
 
-    The signed table, of shape (m, 3, n), holds [-a, 0, +a] for each
-    component, already multiplied by its subgradient scale, so entry
-    [i, 1 + sign(r)] is the applied subgradient of component i at
-    residual r.
+    signed, of shape (m, 3, n), holds [-a, 0, +a] for each component,
+    already multiplied by its subgradient scale, so entry [i, 1 +
+    sign(r)] is the applied subgradient of component i at residual r.
+    Once per block, cand[j] gets lam_j * (signed + noise_j) of the
+    component each pair (s, c) visits at step j, in (S M 3, n) rows, so
+    the pair's step is row base[s, c] + sign(residual) of cand[j].
     """
-    if not all(isinstance(c, L1Component) for c in problem.components):
-        return None
-    rows = np.vstack([c.a for c in problem.components])
-    offsets = np.array([c.b for c in problem.components])
-    signed = np.stack([-rows, np.zeros_like(rows), rows], axis=1)
-    norms = np.linalg.norm(rows, axis=1)
-    if scale is not None:
-        signed = signed * scale[:, np.newaxis, np.newaxis]
-        norms = norms * scale
-    return rows, offsets, signed, norms
+
+    def __init__(self, config: RunConfig, X: np.ndarray):
+        _, S, n = X.shape
+        M = len(config.chains)
+        # a scale of ones multiplies exactly, signed zeros included
+        scale = config.subgradient_scale
+        scale = np.ones(config.problem.m) if scale is None else scale
+        self.weights = config.problem.weights
+        self.rows = np.vstack([c.a for c in config.problem.components])
+        self.offsets = np.array([c.b for c in config.problem.components])
+        signed = np.stack([-self.rows, np.zeros_like(self.rows), self.rows], axis=1)
+        self.signed = signed * scale[:, np.newaxis, np.newaxis]
+        self.norm_table = np.linalg.norm(self.rows, axis=1) * scale
+        self.cand = np.empty((BLOCK, S * M * 3, n))
+        self.block_rows = np.empty((BLOCK, S, M, 1, n))
+        self.block_offsets = np.empty((BLOCK, S, M))
+        # int8: the sign of a NaN residual casts to 0, the zero row
+        self.signs = np.empty((BLOCK, S, M), dtype=np.int8)
+        # each iteration's operands are viewed once per run: its rows,
+        # iterate column, offsets, signs and candidates
+        views = min(BLOCK, config.budget)
+        self.views = list(zip(
+            self.block_rows[:views], X[:views, :, np.newaxis, :, np.newaxis],
+            self.block_offsets[:views], self.signs[:views], self.cand[:views],
+        ))
+
+    def objectives(self, points: np.ndarray) -> np.ndarray:
+        """Objective at each row of points (P, n).
+
+        One stacked matrix-vector product and one stacked dot, which run
+        the same BLAS routines on the same vectors as a per-point
+        `weights @ abs(rows @ x - offsets)`, so each value is bitwise
+        what the per-point evaluation gives.
+        """
+        residuals = np.matmul(self.rows, points[:, :, np.newaxis])[:, :, 0]
+        np.subtract(residuals, self.offsets, out=residuals)
+        np.abs(residuals, out=residuals)
+        return np.matmul(residuals[:, np.newaxis, :], self.weights)[:, 0]
+
+    def steps(self, states, noise, lams, max_norm):
+        count, S, M = states.shape
+        # the walks' states are in range, so clip mode only skips the
+        # bounds pass and take's copy of out
+        np.take(self.rows, states, axis=0, out=self.block_rows[:count, :, :, 0], mode="clip")
+        np.take(self.offsets, states, out=self.block_offsets[:count], mode="clip")
+        cand = self.cand[:count].reshape(count, S, M, 3, -1)
+        np.take(self.signed, states, axis=0, out=cand, mode="clip")
+        if noise is not None:
+            np.add(cand, noise[:count, :, :, np.newaxis, :], out=cand)
+        np.multiply(cand, lams[:count, np.newaxis, np.newaxis, np.newaxis, np.newaxis], out=cand)
+        residual = np.empty((S, M, 1, 1))
+        flat_residual = residual.reshape(S, M)
+        base = (3 * np.arange(S * M) + 1).reshape(S, M)
+        index = np.empty((S, M), dtype=np.intp)
+        step = np.empty((S, M, self.rows.shape[1]))
+        for rows, x, offsets, signs, table in self.views[:count]:
+            np.matmul(rows, x, out=residual)
+            np.subtract(flat_residual, offsets, out=flat_residual)
+            np.sign(flat_residual, out=signs, casting="unsafe")
+            np.add(signs, base, out=index)
+            table.take(index, axis=0, out=step, mode="clip")
+            yield step
+        norms = np.multiply(self.signs[:count] != 0, self.norm_table[states])
+        np.fmax(max_norm, np.fmax.reduce(norms, axis=(0, 2)), out=max_norm)
 
 
-def _objectives(problem: ConvexSumProblem, tables, points: np.ndarray) -> np.ndarray:
-    """Objective at each row of points (P, n).
+class _OracleKernel:
+    """Steps of any other problem, from each visited component's subgradient."""
 
-    For all-L1 problems this is one stacked matrix-vector product and one
-    stacked dot, which run the same BLAS routines on the same vectors as
-    a per-point `weights @ abs(rows @ x - offsets)`, so each value is
-    bitwise what the per-point evaluation gives.
-    """
-    if tables is None:
-        return np.array([objective(problem, point) for point in points])
-    rows, offsets = tables[0], tables[1]
-    residuals = np.matmul(rows, points[:, :, np.newaxis])[:, :, 0]
-    np.subtract(residuals, offsets, out=residuals)
-    np.abs(residuals, out=residuals)
-    return np.matmul(residuals[:, np.newaxis, :], problem.weights)[:, 0]
+    def __init__(self, config: RunConfig, X: np.ndarray):
+        self.problem, self.scale, self.X = config.problem, config.subgradient_scale, X
+
+    def objectives(self, points: np.ndarray) -> np.ndarray:
+        return np.array([objective(self.problem, point) for point in points])
+
+    def steps(self, states, noise, lams, max_norm):
+        components, scale = self.problem.components, self.scale
+        # the block's scaled subgradients, kept for their norms
+        grads = np.empty((*states.shape, self.problem.n))
+        step = np.empty(grads.shape[1:])
+        for j, (x, visits, lam, g) in enumerate(zip(self.X, states.tolist(), lams.tolist(), grads)):
+            for s, visited in enumerate(visits):
+                for c, i in enumerate(visited):
+                    oracle = components[i].subgradient(x[s])
+                    g[s, c] = oracle if scale is None else oracle * scale[i]
+            if noise is not None:
+                g = np.add(g, noise[j], out=step)
+            yield np.multiply(g, lam, out=step)
+        # stacked g @ g: bitwise the dot inside np.linalg.norm(g)
+        norms = np.sqrt(np.matmul(grads[..., np.newaxis, :], grads[..., np.newaxis])[..., 0, 0])
+        np.fmax(max_norm, np.fmax.reduce(norms, axis=(0, 2)), out=max_norm)
 
 
 def run_batch(configs) -> list[Trace]:
@@ -414,20 +479,18 @@ def run_batch(configs) -> list[Trace]:
     x0, may differ. Each config keeps its own chains and random streams,
     and the engine advances all of their iterates as one (S, n) stack, so
     every Trace is bitwise identical to what the config gives alone or in
-    any other batch, in any position. Each Trace's wall_time_s is the
-    batch's wall time divided by the number of configs.
+    any other batch, in any position.
 
-    Once per block of BLOCK iterations the engine runs the chain walks
-    and noise draws, then, for all-L1 problems, fills a candidate table
-    with lam_k * (g + noise_k) for g in [-a, 0, +a] of the component each
-    (run, chain) pair visits at k, in (BLOCK, S M 3, n) floats; after the
-    block come objective values, best-so-far tracking, first crossings
-    and recording. Once per iteration, for every pair together, it
-    computes the residuals and their signs, looks each pair's step up in
-    the table, and averages and clips the stack. Generic components call
-    their subgradient oracle per iteration and add the noise and
-    stepsize there. Only the rows the stride records are stored, so
-    memory grows with the recorded rows, not with the budget.
+    A block driver over a step kernel picked by the component types:
+    _L1Kernel for all-L1 problems, _OracleKernel for any other. Once per
+    block of BLOCK iterations the driver walks the chains and draws the
+    noise and stepsizes, and kernel.steps(states, noise, lams, max_norm)
+    yields each iteration's (S, M, n) step, which the driver subtracts
+    from the iterate, averages over the chains and clips; after its last
+    step the kernel folds the block's applied subgradient norms into
+    max_norm. kernel.objectives(points) then gives the block's values
+    for best-so-far tracking, first crossings and recording. Memory
+    grows with the recorded rows, not with the budget.
     """
     configs = list(configs)
     if not configs:
@@ -441,16 +504,13 @@ def run_batch(configs) -> list[Trace]:
     K = first.budget
     S = len(configs)
     M = len(first.chains)
-    scale = first.subgradient_scale
-    noise = first.noise
-    noisy = noise.kind != "zero"
-    tables = _l1_tables(problem, scale)
-    fast = tables is not None
-    # the tail's operands all have the iterate stack's shape: a ufunc call
-    # with a broadcast (n,) operand costs about twice a same-shape one
-    lower = np.ascontiguousarray(np.broadcast_to(problem.feasible.lower, (S, n)))
-    upper = np.ascontiguousarray(np.broadcast_to(problem.feasible.upper, (S, n)))
-    chain_count = np.full((S, n), float(M))
+    noisy = first.noise.kind != "zero"
+    # the tail's operands all have the shape of an iterate stack seen
+    # across the chains: a ufunc call with a broadcast (n,) operand costs
+    # about twice a same-shape one
+    lower = np.ascontiguousarray(np.broadcast_to(problem.feasible.lower, (S, 1, n)))
+    upper = np.ascontiguousarray(np.broadcast_to(problem.feasible.upper, (S, 1, n)))
+    chain_count = np.full((S, 1, n), float(M))
 
     started = time.perf_counter()
     runtimes = [start_chains(config) for config in configs]
@@ -467,8 +527,10 @@ def run_batch(configs) -> list[Trace]:
     # X[j] is the iterate stack after j steps of the current block
     X = np.empty((BLOCK + 1, S, n))
     X[0] = [config.x0 for config in configs]
+    all_l1 = all(isinstance(c, L1Component) for c in problem.components)
+    kernel = (_L1Kernel if all_l1 else _OracleKernel)(first, X)
     rec_states[:, 0] = [[rt.state.current for rt in chains] for chains in runtimes]
-    best_f = _objectives(problem, tables, X[0])
+    best_f = kernel.objectives(X[0])
     rec_f[:, 0] = best_f
     rec_best[:, 0] = best_f
     best_x = X[0].copy()
@@ -478,37 +540,13 @@ def run_batch(configs) -> list[Trace]:
     max_norm = np.zeros(S)
 
     walked = np.empty((BLOCK, S, M), dtype=np.int64)
-    norms = np.empty((BLOCK, S, M))
     noise_rows = np.empty((BLOCK, S, M, n)) if noisy else None
-    step = np.empty((S, M, n))
     sub = np.empty((S, M, n))
-    residual = np.empty((S, M, 1, 1))
-    flat_residual = residual.reshape(S, M)
-    # every per-iteration view is made once per run: iterates[j] is X[j],
-    # X_row[j] presents it broadcast over the chains, sub_cols[c] is
-    # chain c's candidate iterate
-    views = min(BLOCK, K)
-    iterates = list(X[: views + 1])
-    X_row = [x[:, np.newaxis, :] for x in iterates]
-    sub_cols = [sub[:, c] for c in range(M)]
+    # X_row[j] is X[j] seen across the chains, (S, 1, n), made once per
+    # run; sub_cols[c] is chain c's candidate iterate in that shape
+    X_row = [x[:, np.newaxis, :] for x in X[: min(BLOCK, K) + 1]]
+    sub_cols = [sub[:, c : c + 1] for c in range(M)]
     later_cols = sub_cols[2:]
-    if fast:
-        rows, offsets, signed, norm_table = tables
-        # cand[j, s, c] holds lam_j * ([-a, 0, +a] + noise_j) of the
-        # component pair (s, c) visits at step j, so the step is row
-        # base[s, c] + sign(residual) of cand[j] seen as (S M 3, n)
-        cand = np.empty((BLOCK, S, M, 3, n))
-        block_rows = np.empty((BLOCK, S, M, n))
-        block_offsets = np.empty((BLOCK, S, M))
-        # int8: the sign of a NaN residual casts to 0, the zero row
-        signs = np.empty((BLOCK, S, M), dtype=np.int8)
-        table_index = np.empty((S, M), dtype=np.intp)
-        base = (3 * np.arange(S * M) + 1).reshape(S, M)
-        X_col = [x[:, np.newaxis, :, np.newaxis] for x in iterates[:views]]
-        row_views = [r[:, :, np.newaxis, :] for r in block_rows[:views]]
-        offset_views = list(block_offsets[:views])
-        sign_views = list(signs[:views])
-        cand_views = [c.reshape(S * M * 3, n) for c in cand[:views]]
 
     for k0 in range(0, K, BLOCK):
         count = min(BLOCK, K - k0)
@@ -517,52 +555,18 @@ def run_batch(configs) -> list[Trace]:
                 walked[:count, s, c] = markov.walk(runtime.state, first.matrix, count)
                 if noisy:
                     noise_rows[:count, s, c] = sample_noise_block(
-                        noise, k0 + 1, count, runtime.noise_rng, n
+                        first.noise, k0 + 1, count, runtime.noise_rng, n
                     )
         states = walked[:count]
         # stepsizes for k0 .. k0 + count: the last is recorded, not applied
         lams = _stepsizes(first.schedule, k0, count + 1)
-        if fast:
-            # the walks' states are in range, so clip mode only skips the
-            # bounds pass and take's copy of out
-            np.take(rows, states, axis=0, out=block_rows[:count], mode="clip")
-            np.take(offsets, states, out=block_offsets[:count], mode="clip")
-            steps = cand[:count]
-            np.take(signed, states, axis=0, out=steps, mode="clip")
-            if noisy:
-                np.add(steps, noise_rows[:count, :, :, np.newaxis, :], out=steps)
-            np.multiply(steps, lams[:count, np.newaxis, np.newaxis, np.newaxis, np.newaxis],
-                        out=steps)
-        else:
-            lam_list = lams.tolist()
-        for j in range(count):
-            if fast:
-                np.matmul(row_views[j], X_col[j], out=residual)
-                np.subtract(flat_residual, offset_views[j], out=flat_residual)
-                np.sign(flat_residual, out=sign_views[j], casting="unsafe")
-                np.add(sign_views[j], base, out=table_index)
-                cand_views[j].take(table_index, axis=0, out=step, mode="clip")
-            else:
-                x = iterates[j]
-                for s in range(S):
-                    for c in range(M):
-                        i = states[j, s, c]
-                        g = problem.components[i].subgradient(x[s])
-                        if scale is not None:
-                            g = g * scale[i]
-                        step[s, c] = g
-                # stacked g @ g: bitwise the dot inside np.linalg.norm(g)
-                np.matmul(step[:, :, np.newaxis, :], step[:, :, :, np.newaxis], out=residual)
-                np.sqrt(flat_residual, out=norms[j])
-                if noisy:
-                    np.add(step, noise_rows[j], out=step)
-                np.multiply(step, lam_list[j], out=step)
-            x_next = iterates[j + 1]
+        for j, step in enumerate(kernel.steps(states, noise_rows, lams, max_norm)):
+            x_next = X_row[j + 1]
             # adding the chains' columns in order, then dividing, is
             # np.mean (one chain's step is its own mean); maximum then
             # minimum is np.clip, signed zeros and NaN included
             if M == 1:
-                np.subtract(X_row[j], step, out=X_row[j + 1])
+                np.subtract(X_row[j], step, out=x_next)
             else:
                 np.subtract(X_row[j], step, out=sub)
                 np.add(sub_cols[0], sub_cols[1], out=x_next)
@@ -572,11 +576,7 @@ def run_batch(configs) -> list[Trace]:
             np.maximum(x_next, lower, out=x_next)
             np.minimum(x_next, upper, out=x_next)
 
-        if fast:
-            np.multiply(signs[:count] != 0, norm_table[states], out=norms[:count])
-        np.fmax(max_norm, np.fmax.reduce(norms[:count], axis=(0, 2)), out=max_norm)
-        f = _objectives(problem, tables, X[1 : count + 1].reshape(count * S, n))
-        f = f.reshape(count, S)
+        f = kernel.objectives(X[1 : count + 1].reshape(count * S, n)).reshape(count, S)
         running = np.fmin.accumulate(f, axis=0)
         np.fmin(running, best_f, out=running)
         for s in np.flatnonzero(running[-1] < best_f):

@@ -150,8 +150,8 @@ class ConvexSumProblem:
 def objective(problem: ConvexSumProblem, x) -> float:
     """Weighted objective sum, accumulated component by component.
 
-    This is the reference evaluation; the optimizer's stacked fast path
-    for all-L1 problems is tested against it.
+    This is the reference evaluation, which the optimizer's oracle
+    kernel uses; its L1 kernel's stacked evaluation is tested against it.
     """
     total = 0.0
     for w, comp in zip(problem.weights.tolist(), problem.components):
