@@ -310,7 +310,6 @@ class TestRun:
     def test_generic_component_path_matches_l1(self):
         # wrapping the same geometry in non-L1 components must not change
         # the trajectory (oracle kernel vs L1 kernel)
-
         A = np.asarray([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         b = np.asarray([1.0, 2.0, -5.0])
         box = Box([-3.0, -3.0], [3.0, 3.0])
@@ -792,9 +791,12 @@ class TestRunBatch:
         config = replace(config, problem=plain_abs_problem(config.problem, wrapped=(0, 3)))
         calls = []
         oracle = L1Component.subgradient
-        monkeypatch.setattr(
-            L1Component, "subgradient", lambda comp, x: calls.append(1) or oracle(comp, x)
-        )
+
+        def counted(component, x):
+            calls.append(component)
+            return oracle(component, x)
+
+        monkeypatch.setattr(L1Component, "subgradient", counted)
         assert_oracle_trace(run(config), reference_run(config))
         assert calls
 
