@@ -4,7 +4,9 @@ Decomposes a row-stochastic transition matrix into recurrent classes,
 transient states, and class periods. The Cesaro (time-averaged) limit
 of the matrix powers, which drives chain-weighted optimization, is
 solved on the first read of a decomposition's cesaro, and a failed solve
-raises SingularSolveError there. The power limit along multiples of the
+raises SingularSolveError there. Each dense solve holds one copy of its
+class (or transient) block beside the matrix, plus LAPACK's own copy
+while it factors. The power limit along multiples of the
 global period, a mixing diagnostic, is the Cesaro limit of P^delta,
 computed only on request. Also provides seeded trajectory sampling and
 the plain-text matrix format: a line holding the state count m, then m
@@ -306,10 +308,16 @@ def decompose(P: TransitionMatrix) -> ChainDecomposition:
     )
 
 
-def _stationary_distribution(sub: np.ndarray) -> np.ndarray:
-    """Solve pi P = pi, sum(pi) = 1 on one recurrent class (dense LU)."""
-    r = sub.shape[0]
-    lhs = sub.T - np.eye(r)
+def _stationary_distribution(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Solve pi P = pi, sum(pi) = 1 on the recurrent class idx of mat (dense LU).
+
+    The system P_CC^T - I, its last row replaced by ones, is built in one
+    gathered copy of the class block; LAPACK takes a second during the
+    solve. Once both are freed, the block is gathered again for the residual.
+    """
+    r = idx.shape[0]
+    lhs = mat[np.ix_(idx, idx)].T
+    lhs[np.diag_indices(r)] -= 1.0
     lhs[-1, :] = 1.0
     rhs = np.zeros(r)
     rhs[-1] = 1.0
@@ -317,6 +325,8 @@ def _stationary_distribution(sub: np.ndarray) -> np.ndarray:
         pi = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSolveError(f"stationary system is singular: {exc}") from exc
+    del lhs
+    sub = mat[np.ix_(idx, idx)]
     residual = float(np.max(np.abs(pi @ sub - pi)))
     if residual > SOLVE_RESIDUAL_TOL or float(pi.min()) < -SOLVE_RESIDUAL_TOL:
         raise SingularSolveError(
@@ -337,20 +347,27 @@ def cesaro_limit(
     stationary distribution. A transient row mixes the class stationary
     distributions with the absorption probabilities obtained from the
     transient-block linear system. Transient columns are zero.
+
+    Each system exists once in memory, beside LAPACK's copy during its
+    solve: a class's stationary system is one gathered copy of its block,
+    and out is allocated only after those solves. I - P_TT is one gathered
+    copy of P_TT, made 0.0 - x off the diagonal and 1.0 - x on it, the
+    bits np.eye(t) - P_TT gives (a negation would turn +0.0 into -0.0).
     """
     P = _as_transition(P)
     mat = P.matrix
     m = P.m
+    stationaries = [_stationary_distribution(mat, np.asarray(cls)) for cls in classes]
     out = np.zeros((m, m))
-    stationaries = []
-    for cls in classes:
+    for cls, pi in zip(classes, stationaries):
         idx = np.asarray(cls)
-        pi = _stationary_distribution(mat[np.ix_(idx, idx)])
-        stationaries.append(pi)
         out[np.ix_(idx, idx)] = pi[np.newaxis, :]
     if transient:
         t_idx = np.asarray(transient)
-        lhs = np.eye(len(transient)) - mat[np.ix_(t_idx, t_idx)]
+        lhs = mat[np.ix_(t_idx, t_idx)]
+        diagonal = 1.0 - lhs.diagonal()
+        np.subtract(0.0, lhs, out=lhs)
+        np.fill_diagonal(lhs, diagonal)
         for cls, pi in zip(classes, stationaries):
             c_idx = np.asarray(cls)
             hit = mat[np.ix_(t_idx, c_idx)].sum(axis=1)
@@ -453,12 +470,9 @@ def walk(chain: ChainState, P: TransitionMatrix, steps: int) -> np.ndarray:
     draws = chain.rng.random(steps).tolist()
     cols, cum = P._support, P._cumulative
     s = chain.current
-    out = np.empty(steps, dtype=np.int64)
-    for t, u in enumerate(draws):
-        s = cols[s][bisect_right(cum[s], u)]
-        out[t] = s
+    visited = [s := cols[s][bisect_right(cum[s], u)] for u in draws]
     chain.current = s
-    return out
+    return np.array(visited, dtype=np.int64)
 
 
 def decomposition_report(decomp: ChainDecomposition) -> dict:

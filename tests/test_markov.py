@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainopt import (
@@ -33,6 +33,7 @@ from chainopt import (
     write_matrix_text,
 )
 from conftest import (
+    NINE_STATE_ROWS,
     cesaro_limit_oracle,
     coupled_blocks,
     stochastic_matrices,
@@ -296,6 +297,31 @@ class TestDecompose:
 # ------------------------------------------------------------- cesaro limits
 
 
+def eye_construction_cesaro(mat, classes, transient):
+    """The Cesaro limit built with explicit identities: sub.T - I and I - P_TT."""
+    m = mat.shape[0]
+    out = np.zeros((m, m))
+    stationaries = []
+    for cls in classes:
+        idx = np.asarray(cls)
+        sub = mat[np.ix_(idx, idx)]
+        lhs = sub.T - np.eye(len(cls))
+        lhs[-1, :] = 1.0
+        rhs = np.zeros(len(cls))
+        rhs[-1] = 1.0
+        pi = np.linalg.solve(lhs, rhs)
+        stationaries.append(pi)
+        out[np.ix_(idx, idx)] = pi[np.newaxis, :]
+    if transient:
+        t_idx = np.asarray(transient)
+        lhs = np.eye(len(transient)) - mat[np.ix_(t_idx, t_idx)]
+        for cls, pi in zip(classes, stationaries):
+            c_idx = np.asarray(cls)
+            absorb = np.linalg.solve(lhs, mat[np.ix_(t_idx, c_idx)].sum(axis=1))
+            out[np.ix_(t_idx, c_idx)] = absorb[:, np.newaxis] * pi[np.newaxis, :]
+    return out
+
+
 class TestCesaroLimit:
     def test_two_cycle_halves(self):
         mat = np.asarray([[0.0, 1.0], [1.0, 0.0]])
@@ -365,6 +391,29 @@ class TestCesaroLimit:
         dec = decompose(mat)
         oracle = cesaro_limit_oracle(mat, 100000 * dec.delta)
         assert np.max(np.abs(dec.cesaro - oracle)) <= 1e-3
+
+    # the nine-state chain has transient states and several classes, so
+    # both kinds of solve run
+    @settings(max_examples=50, deadline=None)
+    @given(stochastic_matrices())
+    @example(np.asarray(NINE_STATE_ROWS))
+    def test_bits_match_the_eye_construction(self, mat):
+        dec = decompose(mat)
+        expected = eye_construction_cesaro(dec.matrix.matrix, dec.classes, dec.transient)
+        assert np.array_equal(dec.cesaro.view(np.int64), expected.view(np.int64))
+
+    def test_peak_memory_is_about_one_matrix(self):
+        # each system is one gathered copy of its block; LAPACK's own copy
+        # is not traced
+        dec = decompose(ring_matrix(300))
+        tracemalloc.start()
+        try:
+            dec.cesaro
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nbytes = dec.matrix.matrix.nbytes
+        assert peak <= 1.5 * nbytes, peak / nbytes
 
 
 # --------------------------------------------------------------- power limit

@@ -529,6 +529,16 @@ MEDIAN_CHAIN = [
     [0.0, 0.0, 0.9, 0.1, 0.0],
     [0.0, 0.0, 0.9, 0.0, 0.1],
 ]
+# State 1 is transient and feeds the class {2, 3, 4, 5}, which alternates
+# between {2, 5} and {3, 4}: period 2, so P^k does not converge, and the
+# Cesaro weights (0, .05, .45, .05, .45) again put the optimum at b_3 = 4.
+PERIODIC_CHAIN = [
+    [0.5, 0.5, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.9, 0.1, 0.0],
+    [0.0, 0.1, 0.0, 0.0, 0.9],
+    [0.0, 0.1, 0.0, 0.0, 0.9],
+    [0.0, 0.0, 0.9, 0.1, 0.0],
+]
 MEDIAN_OFFSETS = np.asarray([0.0, 1.0, 4.0, -3.0, 9.0])
 
 
@@ -566,10 +576,13 @@ class TestWeightedOptimum:
         chain = validate_stochastic(MEDIAN_CHAIN)
         start = unit_mass(5, 0)
         weights = weights_from_chains([start], decompose(chain))
+        periodic = validate_stochastic(PERIODIC_CHAIN)
+        periodic_weights = weights_from_chains([start], decompose(periodic))
         # doubly stochastic control: every component weighs 1/5
         uniform, uniform_start = make_baseline("uniform_random", 5)
         return {
             "transient-fed": (chain, start, weights),
+            "periodic": (periodic, start, periodic_weights),
             "doubly-stochastic": (uniform, uniform_start, np.full(5, 0.2)),
         }
 
@@ -579,9 +592,22 @@ class TestWeightedOptimum:
         assert weighted_median(MEDIAN_OFFSETS, weights) == 4.0
         assert weighted_median(MEDIAN_OFFSETS, np.full(5, 0.2)) == 1.0
 
+    def test_periodic_class_weights_are_the_cesaro_limit(self):
+        chain, _, weights = self.cases()["periodic"]
+        assert decompose(chain).periods == (2,)
+        powers = np.linalg.matrix_power(chain.matrix, 1000)
+        # P^1001 and P^1000 differ by 0.9: the powers keep alternating, so
+        # only the averaged limit exists
+        assert np.abs(powers @ chain.matrix - powers).max() > 0.8
+        assert np.allclose(weights, [0, 0.05, 0.45, 0.05, 0.45], rtol=0, atol=1e-15)
+        assert weighted_median(MEDIAN_OFFSETS, weights) == 4.0
+
     # at 5e4 iterations the last stepsize is 3e-4; the measured worst
-    # seeds are 4.5e-4 (chain) and 4.2e-3 (control) from the optimum
-    @pytest.mark.parametrize("case, tol", [("transient-fed", 1e-3), ("doubly-stochastic", 1e-2)])
+    # seeds are 4.5e-4 (transient-fed), 5.6e-4 (periodic) and 4.2e-3
+    # (control) from the optimum
+    @pytest.mark.parametrize(
+        "case, tol", [("transient-fed", 1e-3), ("periodic", 1e-3), ("doubly-stochastic", 1e-2)]
+    )
     @pytest.mark.parametrize(
         "noise", [NoiseModel.zero(), NoiseModel.normal_scaled(0.1)], ids=lambda n: n.kind
     )
@@ -591,7 +617,7 @@ class TestWeightedOptimum:
         final = np.array([trace.final_x[0] for trace in run_batch(configs)])
         assert np.abs(final - weighted_median(MEDIAN_OFFSETS, weights)).max() < tol, final
 
-    @pytest.mark.parametrize("case", ["transient-fed", "doubly-stochastic"])
+    @pytest.mark.parametrize("case", ["transient-fed", "periodic", "doubly-stochastic"])
     @pytest.mark.parametrize(
         "noise", [NoiseModel.zero(), NoiseModel.normal_scaled(0.1)], ids=lambda n: n.kind
     )
