@@ -469,7 +469,7 @@ def decay_diagnostic(P: TransitionMatrix, k_max: int = 50) -> DecayReport:
     (delta = 1) it is the Cesaro limit decompose returns. Computes the
     induced max-row-sum norm of the difference for k = 1..k_max and
     fits a geometric decay to the points above the rounding floor
-    k_max * m * eps: each of the k_max products of an m-state matrix can
+    k_max * m * eps: each of the k_max powers of an m-state matrix can
     add about m * eps to a row sum, so smaller values are rounding, not
     decay. When the chain has transient states, the worst-case transient
     occupation mass over all deterministic starts is fitted the same way.
@@ -485,9 +485,10 @@ def decay_diagnostic(P: TransitionMatrix, k_max: int = 50) -> DecayReport:
     ks = np.arange(1, k_max + 1)
     norms = np.empty(k_max)
     masses = np.empty(k_max) if t_idx.size else None
-    power = np.eye(P.m)
+    power = block
     for i in range(k_max):
-        power = power @ block
+        if i:
+            power = power @ block
         norms[i] = float(np.abs(power - limit).sum(axis=1).max())
         if masses is not None:
             masses[i] = float(power[:, t_idx].sum(axis=1).max())

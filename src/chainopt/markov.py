@@ -179,7 +179,8 @@ class ChainDecomposition:
     sorted ascending, ordered by smallest member. delta is the least
     common multiple of the class periods. cesaro, the limit of averaged
     powers, is solved on first read (raising SingularSolveError if a
-    solve fails) and kept. power_limit(P, delta) gives the limit of P^delta.
+    solve fails) and kept read-only. power_limit(P, delta) gives the
+    limit of P^delta.
     """
 
     matrix: TransitionMatrix
@@ -353,6 +354,7 @@ def cesaro_limit(
     and out is allocated only after those solves. I - P_TT is one gathered
     copy of P_TT, made 0.0 - x off the diagonal and 1.0 - x on it, the
     bits np.eye(t) - P_TT gives (a negation would turn +0.0 into -0.0).
+    The result is read-only, as ChainDecomposition keeps it.
     """
     P = _as_transition(P)
     mat = P.matrix
@@ -381,6 +383,7 @@ def cesaro_limit(
                     f"absorption solve failed validation (residual {residual:.3e})"
                 )
             out[np.ix_(t_idx, c_idx)] = absorb[:, np.newaxis] * pi[np.newaxis, :]
+    out.flags.writeable = False
     return out
 
 

@@ -25,13 +25,14 @@ import sys
 import time
 import warnings
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import markov
 from .markov import ChainDecomposition, ChainState, TransitionMatrix
 from .problems import (
+    Box,
     ConvexSumProblem,
     L1Component,
     NoiseModel,
@@ -139,6 +140,28 @@ def _stepsizes(schedule, start: int, count: int) -> np.ndarray:
     return np.repeat(np.asarray(values), schedule.block_len)[skip : skip + count]
 
 
+def _bits(value):
+    """A key for value that == compares bit for bit, as the engine reads it.
+
+    Arrays give their dtype, shape and bytes and floats their float64
+    bytes, so -0.0 is not +0.0; integers, strings and None stay as they
+    are; tuples and chainopt's data types give their elements' or fields'
+    keys; anything else, such as a user component, is compared by identity.
+    """
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if value is None or isinstance(value, (int, np.integer, str)):
+        return value
+    if isinstance(value, tuple):
+        return tuple(_bits(item) for item in value)
+    if isinstance(value, (ConvexSumProblem, Box, L1Component, TransitionMatrix, NoiseModel,
+                          ConstantStepsize, DiminishingBlockStepsize)):
+        return type(value), tuple(_bits(getattr(value, f.name)) for f in fields(value))
+    return type(value), id(value)
+
+
 @dataclass(frozen=True, eq=False)
 class ChainSpec:
     """Initial distribution and seed for one selection chain.
@@ -172,21 +195,23 @@ class RunConfig:
     i by scale[i] inside the update. Baseline methods that visit
     components uniformly use it to target the weighted objective; the
     reported objective always uses problem.weights either way. decomp
-    must be a decomposition of matrix or of a matrix with equal entries.
+    must be a decomposition of matrix or of a matrix with the same bits
+    (-0.0 is not +0.0).
 
     Checked when built, and again by dataclasses.replace, so every
-    RunConfig is valid: one problem component per chain state, at least
-    one chain, each start a distribution over the states, integer budget
-    and stride of at least 1, x0 of shape (n,) inside the box, and a
-    finite, nonnegative scale of shape (m,). x0 and the scale are kept
-    as read-only float copies.
+    RunConfig is valid: one problem component per chain state, a
+    ConstantStepsize or DiminishingBlockStepsize schedule, a NoiseModel,
+    at least one chain, each start a distribution over the states,
+    integer budget and stride of at least 1, x0 of shape (n,) inside the
+    box, and a finite, nonnegative scale of shape (m,). x0 and the scale
+    are kept as read-only float copies.
     """
 
     problem: ConvexSumProblem
     matrix: TransitionMatrix
     decomp: ChainDecomposition
     chains: tuple
-    schedule: object
+    schedule: ConstantStepsize | DiminishingBlockStepsize
     noise: NoiseModel
     x0: np.ndarray
     budget: int
@@ -199,6 +224,13 @@ class RunConfig:
             raise ValueError(
                 f"problem has {self.problem.m} components but the chain has {m} states"
             )
+        if not isinstance(self.schedule, (ConstantStepsize, DiminishingBlockStepsize)):
+            raise ValueError(
+                "schedule must be a ConstantStepsize or a DiminishingBlockStepsize, "
+                f"got {self.schedule!r}"
+            )
+        if not isinstance(self.noise, NoiseModel):
+            raise ValueError(f"noise must be a NoiseModel, got {self.noise!r}")
         object.__setattr__(self, "chains", tuple(self.chains))
         if not self.chains:
             raise ValueError("need at least one chain")
@@ -221,12 +253,9 @@ class RunConfig:
             if not np.all(np.isfinite(scale)) or float(scale.min()) < 0.0:
                 raise ValueError("subgradient scale entries must be finite and nonnegative")
             object.__setattr__(self, "subgradient_scale", scale)
-        if not _same_matrix(self.decomp.matrix, self.matrix):
+        decomposed = self.decomp.matrix
+        if decomposed is not self.matrix and _bits(decomposed) != _bits(self.matrix):
             raise ValueError("decomposition does not match the transition matrix")
-
-
-def _same_matrix(a: TransitionMatrix, b: TransitionMatrix) -> bool:
-    return a is b or np.array_equal(a.matrix, b.matrix)
 
 
 def _warn_unreachable(config: RunConfig) -> None:
@@ -311,51 +340,17 @@ class Trace:
         return self.wall_time_s / iterations * 1e9 if iterations else 0.0
 
 
-def _same_problem(a: ConvexSumProblem, b: ConvexSumProblem) -> bool:
-    """Equal data: the same box, weights and components (L1 ones by value)."""
-    if a is b:
-        return True
-    if a.n != b.n or a.m != b.m:
-        return False
-    if not (
-        np.array_equal(a.feasible.lower, b.feasible.lower)
-        and np.array_equal(a.feasible.upper, b.feasible.upper)
-        and np.array_equal(a.weights, b.weights)
-    ):
-        return False
-    for c, d in zip(a.components, b.components):
-        if c is d:
-            continue
-        if not (isinstance(c, L1Component) and isinstance(d, L1Component)):
-            return False
-        if not (np.array_equal(c.a, d.a) and c.b == d.b):
-            return False
-    return True
-
-
-def _same_scale(a, b) -> bool:
-    if a is None or b is None:
-        return a is b
-    return np.array_equal(a, b)
-
-
-# Fields every config of one batch must share, with how they are compared.
-_SHARED = (
-    ("problem", _same_problem),
-    ("matrix", _same_matrix),
-    ("schedule", lambda a, b: a == b),
-    ("noise", lambda a, b: a == b),
-    ("budget", lambda a, b: a == b),
-    ("stride", lambda a, b: a == b),
-    ("subgradient_scale", _same_scale),
-)
+# Fields the engine reads from config 0 alone, so every config of one
+# batch must share them bit for bit.
+_SHARED = ("problem", "matrix", "schedule", "noise", "budget", "stride", "subgradient_scale")
 
 
 def _check_shared(configs: list[RunConfig]) -> None:
     first = configs[0]
     for index, config in enumerate(configs[1:], start=1):
-        for field, same in _SHARED:
-            if not same(getattr(first, field), getattr(config, field)):
+        for field in _SHARED:
+            ours, theirs = getattr(first, field), getattr(config, field)
+            if ours is not theirs and _bits(ours) != _bits(theirs):
                 raise ValueError(
                     f"run_batch configs must share {field!r}: config {index} differs "
                     "from config 0"
@@ -473,10 +468,12 @@ class _OracleKernel:
 def run_batch(configs) -> list[Trace]:
     """Run several configs at once; returns one Trace per config, in order.
 
-    The configs must share the problem (compared by value), transition
-    matrix, schedule, noise model, budget, stride, subgradient scale and
-    chain count; anything else, such as the chains' seeds and starts or
-    x0, may differ. Each config keeps its own chains and random streams,
+    The configs must share the problem, transition matrix, schedule,
+    noise model, budget, stride, subgradient scale and chain count;
+    anything else, such as the chains' seeds and starts or x0, may
+    differ. The engine reads the shared fields from config 0, so they are
+    compared bit for bit (-0.0 is not +0.0), and user components by
+    identity. Each config keeps its own chains and random streams,
     and the engine advances all of their iterates as one (S, n) stack, so
     every Trace is bitwise identical to what the config gives alone or in
     any other batch, in any position.

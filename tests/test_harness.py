@@ -291,6 +291,14 @@ class TestRunSuite:
             run_suite(spec)
         assert not out.exists()
 
+    def test_unknown_schedule_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        spec = ExperimentSpec(method="m3", test=1, seeds=(0,), budget=10, schedule="fast",
+                              out=str(out))
+        with pytest.raises(ValueError, match="^schedule must be a .*, got 'fast'$"):
+            run_suite(spec)
+        assert not out.exists()
+
     def test_zero_budget_rejected(self, tmp_path):
         with pytest.raises(InvalidSpecError):
             ExperimentSpec(method="m3", test=1, seeds=(0,), budget=0, out=str(tmp_path))

@@ -402,6 +402,16 @@ class TestCesaroLimit:
         expected = eye_construction_cesaro(dec.matrix.matrix, dec.classes, dec.transient)
         assert np.array_equal(dec.cesaro.view(np.int64), expected.view(np.int64))
 
+    def test_cached_limit_is_read_only(self):
+        # an edit to the kept limit would move every later result on the
+        # decomposition: here the weights from state 1, (2/7, 5/7)
+        dec = decompose([[0.5, 0.5], [0.2, 0.8]])
+        weights = weights_from_chains([unit_mass(2, 0)], dec)
+        for limit in (dec.cesaro, power_limit(dec.matrix, 1)):
+            with pytest.raises(ValueError, match="read-only"):
+                limit[0, 0] = 0.9
+        assert np.array_equal(weights_from_chains([unit_mass(2, 0)], dec), weights)
+
     def test_peak_memory_is_about_one_matrix(self):
         # each system is one gathered copy of its block; LAPACK's own copy
         # is not traced

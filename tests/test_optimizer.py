@@ -419,6 +419,14 @@ class TestRunValidation:
         with pytest.raises(ValueError, match="read-only"):
             spec.init_dist[0] = 0.5
 
+    # stepsize() and the noise draws read these types' fields, so any
+    # other value would fail only inside a run
+    @pytest.mark.parametrize("field, value", [("schedule", "fast"), ("noise", None)])
+    def test_schedule_and_noise_types_checked(self, field, value):
+        config = cyclic_config(small_problem())
+        with pytest.raises(ValueError, match=f"^{field} must be a .*, got {value!r}$"):
+            replace(config, **{field: value})
+
     def test_decomposition_of_another_matrix_rejected(self):
         # same size, other support: the unreachable-class warning would
         # read the wrong classes
@@ -539,6 +547,11 @@ PERIODIC_CHAIN = [
     [0.0, 0.1, 0.0, 0.0, 0.9],
     [0.0, 0.0, 0.9, 0.1, 0.0],
 ]
+# Two closed classes, {1, 2, 3} and {4, 5}, whose stationary laws are
+# their rows. One chain starts in each class, so the averaged weights
+# (.2, .02, .28, .4, .1) put the optimum at b_1 = 0, while either chain's
+# limit alone would put it at -3 or at 4.
+TWO_CLASS_CHAIN = [[0.4, 0.04, 0.56, 0.0, 0.0]] * 3 + [[0.0, 0.0, 0.0, 0.8, 0.2]] * 2
 MEDIAN_OFFSETS = np.asarray([0.0, 1.0, 4.0, -3.0, 9.0])
 
 
@@ -547,8 +560,8 @@ def weighted_median(values, weights):
     return float(values[order][np.searchsorted(np.cumsum(weights[order]), 0.5)])
 
 
-def median_configs(matrix, start, weights, noise, budget, seeds):
-    """One single-chain config per seed on the n = 1 problem, recording only the ends."""
+def median_configs(matrix, starts, weights, x0, noise, budget, seeds):
+    """One config per seed on the n = 1 problem, one chain per start, recording only the ends."""
     problem = make_l1_problem(np.ones((5, 1)), MEDIAN_OFFSETS, Box([-10.0], [10.0]), weights)
     decomp = decompose(matrix)
     return [
@@ -556,10 +569,10 @@ def median_configs(matrix, start, weights, noise, budget, seeds):
             problem=problem,
             matrix=matrix,
             decomp=decomp,
-            chains=(ChainSpec(start, seed),),
+            chains=tuple(ChainSpec(start, seed) for start in starts),
             schedule=DiminishingBlockStepsize(1.0, 0.75, 1),
             noise=noise,
-            x0=np.zeros(1),
+            x0=np.full(1, x0),
             budget=budget,
             stride=budget,
         )
@@ -578,12 +591,18 @@ class TestWeightedOptimum:
         weights = weights_from_chains([start], decompose(chain))
         periodic = validate_stochastic(PERIODIC_CHAIN)
         periodic_weights = weights_from_chains([start], decompose(periodic))
+        two_class = validate_stochastic(TWO_CLASS_CHAIN)
+        two_starts = (unit_mass(5, 3), start)
+        two_class_weights = weights_from_chains(two_starts, decompose(two_class))
         # doubly stochastic control: every component weighs 1/5
         uniform, uniform_start = make_baseline("uniform_random", 5)
+        # (matrix, chain starts, weights, x0); the two-class case starts
+        # away from its optimum 0
         return {
-            "transient-fed": (chain, start, weights),
-            "periodic": (periodic, start, periodic_weights),
-            "doubly-stochastic": (uniform, uniform_start, np.full(5, 0.2)),
+            "transient-fed": (chain, (start,), weights, 0.0),
+            "periodic": (periodic, (start,), periodic_weights, 0.0),
+            "two-class": (two_class, two_starts, two_class_weights, 2.0),
+            "doubly-stochastic": (uniform, (uniform_start,), np.full(5, 0.2), 0.0),
         }
 
     def test_chain_weights_are_not_uniform(self):
@@ -593,7 +612,7 @@ class TestWeightedOptimum:
         assert weighted_median(MEDIAN_OFFSETS, np.full(5, 0.2)) == 1.0
 
     def test_periodic_class_weights_are_the_cesaro_limit(self):
-        chain, _, weights = self.cases()["periodic"]
+        chain, _, weights, _ = self.cases()["periodic"]
         assert decompose(chain).periods == (2,)
         powers = np.linalg.matrix_power(chain.matrix, 1000)
         # P^1001 and P^1000 differ by 0.9: the powers keep alternating, so
@@ -602,22 +621,34 @@ class TestWeightedOptimum:
         assert np.allclose(weights, [0, 0.05, 0.45, 0.05, 0.45], rtol=0, atol=1e-15)
         assert weighted_median(MEDIAN_OFFSETS, weights) == 4.0
 
+    def test_two_classes_weigh_each_chain_limit(self):
+        chain, starts, weights, _ = self.cases()["two-class"]
+        decomp = decompose(chain)
+        assert decomp.classes == ((0, 1, 2), (3, 4)) and decomp.transient == ()
+        assert np.allclose(weights, [0.2, 0.02, 0.28, 0.4, 0.1], rtol=0, atol=1e-15)
+        assert weighted_median(MEDIAN_OFFSETS, weights) == 0.0
+        assert weighted_median(MEDIAN_OFFSETS, np.full(5, 0.2)) == 1.0
+        alone = [weights_from_chains([start], decomp) for start in starts]
+        assert [weighted_median(MEDIAN_OFFSETS, w) for w in alone] == [-3.0, 4.0]
+
     # at 5e4 iterations the last stepsize is 3e-4; the measured worst
-    # seeds are 4.5e-4 (transient-fed), 5.6e-4 (periodic) and 4.2e-3
-    # (control) from the optimum
+    # seeds are 4.5e-4 (transient-fed), 5.6e-4 (periodic), 9.0e-4
+    # (two-class, over seeds 0-43) and 4.2e-3 (control) from the optimum
     @pytest.mark.parametrize(
-        "case, tol", [("transient-fed", 1e-3), ("periodic", 1e-3), ("doubly-stochastic", 1e-2)]
+        "case, tol",
+        [("transient-fed", 1e-3), ("periodic", 1e-3), ("two-class", 2e-3),
+         ("doubly-stochastic", 1e-2)],
     )
     @pytest.mark.parametrize(
         "noise", [NoiseModel.zero(), NoiseModel.normal_scaled(0.1)], ids=lambda n: n.kind
     )
     def test_final_iterate_is_weighted_median(self, case, tol, noise):
-        matrix, start, weights = self.cases()[case]
-        configs = median_configs(matrix, start, weights, noise, 50_000, self.SEEDS)
+        matrix, starts, weights, x0 = self.cases()[case]
+        configs = median_configs(matrix, starts, weights, x0, noise, 50_000, self.SEEDS)
         final = np.array([trace.final_x[0] for trace in run_batch(configs)])
         assert np.abs(final - weighted_median(MEDIAN_OFFSETS, weights)).max() < tol, final
 
-    @pytest.mark.parametrize("case", ["transient-fed", "periodic", "doubly-stochastic"])
+    @pytest.mark.parametrize("case", ["transient-fed", "periodic", "two-class", "doubly-stochastic"])
     @pytest.mark.parametrize(
         "noise", [NoiseModel.zero(), NoiseModel.normal_scaled(0.1)], ids=lambda n: n.kind
     )
@@ -858,6 +889,46 @@ class TestRunBatch:
         config = study_config(budget=20)
         with pytest.raises(ValueError, match=field):
             run_batch([config, change(config)])
+
+    # the engine reads the box and the schedule from config 0, so a sign
+    # that config 1 alone carries would be lost in the batch: its solo run
+    # ends at -0.0 (the step overshoots onto the bound) or records -0.0
+    # stepsizes
+    @pytest.mark.parametrize(
+        "field, ours, theirs, signed",
+        [
+            ("problem", {"lower": 0.0}, {"lower": -0.0}, lambda trace: trace.final_x),
+            ("schedule", {"lam": 0.0}, {"lam": -0.0}, lambda trace: trace.lam),
+        ],
+        ids=["box-lower", "constant-lam"],
+    )
+    def test_signed_zero_is_not_shared(self, field, ours, theirs, signed):
+        matrix = validate_stochastic([[0.5, 0.5], [0.5, 0.5]])
+
+        def config(lower=0.0, lam=0.5):
+            box = Box([lower], [1.0])
+            return RunConfig(
+                problem=make_l1_problem([[1.0], [1.0]], [-1.0, -2.0], box, [0.5, 0.5]),
+                matrix=matrix,
+                decomp=decompose(matrix),
+                chains=(ChainSpec([0.5, 0.5], 0),),
+                schedule=ConstantStepsize(lam),
+                noise=NoiseModel.zero(),
+                x0=np.zeros(1),
+                budget=5,
+            )
+
+        assert np.all(np.signbit(signed(run(config(**theirs)))))
+        assert not np.any(np.signbit(signed(run(config(**ours)))))
+        with pytest.raises(ValueError, match=f"must share {field!r}: config 1 differs"):
+            run_batch([config(**ours), config(**theirs)])
+
+    def test_user_components_are_shared_by_identity(self):
+        config = study_config(budget=20)
+        twins = [replace(config, problem=plain_abs_problem(config.problem)) for _ in range(2)]
+        with pytest.raises(ValueError, match="must share 'problem'"):
+            run_batch(twins)
+        run_batch([twins[0], replace(twins[1], problem=twins[0].problem)])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
