@@ -515,28 +515,26 @@ def run_batch(configs) -> list[Trace]:
     if rec_k[-1] != K:
         rec_k = np.append(rec_k, K)
     rec_lam = np.empty(len(rec_k))
-    rec_lam[0] = stepsize(first.schedule, 0)
     # one row per run, so each Trace takes its row without a copy
     rec_f = np.empty((S, len(rec_k)))
     rec_best = np.empty((S, len(rec_k)))
     rec_states = np.empty((S, len(rec_k), M), dtype=np.int64)
 
-    # X[j] is the iterate stack after j steps of the current block
+    # row j of X (the iterate stack) and walked (its chain states) is iterate k0 + j
     X = np.empty((BLOCK + 1, S, n))
     X[0] = [config.x0 for config in configs]
+    walked = np.empty((BLOCK + 1, S, M), dtype=np.int64)
+    walked[0] = [[rt.state.current for rt in chains] for chains in runtimes]
     all_l1 = all(isinstance(c, L1Component) for c in problem.components)
     kernel = (_L1Kernel if all_l1 else _OracleKernel)(first, X)
-    rec_states[:, 0] = [[rt.state.current for rt in chains] for chains in runtimes]
-    best_f = kernel.objectives(X[0])
-    rec_f[:, 0] = best_f
-    rec_best[:, 0] = best_f
+    # best_f starts NaN: fmin skips it, and any f that is a number improves on it
+    best_f = np.full(S, np.nan)
     best_x = X[0].copy()
     best_k = np.zeros(S, dtype=np.int64)
     # crossed[s, t]: first k with best-so-far f below threshold t, or -1
-    crossed = np.where(best_f[:, np.newaxis] < CROSSING_THRESHOLDS, 0, -1)
+    crossed = np.full((S, len(CROSSING_THRESHOLDS)), -1)
     max_norm = np.zeros(S)
 
-    walked = np.empty((BLOCK, S, M), dtype=np.int64)
     noise_rows = np.empty((BLOCK, S, M, n)) if noisy else None
     sub = np.empty((S, M, n))
     # X_row[j] is X[j] seen across the chains, (S, 1, n), made once per
@@ -549,14 +547,14 @@ def run_batch(configs) -> list[Trace]:
         count = min(BLOCK, K - k0)
         for s, chains in enumerate(runtimes):
             for c, runtime in enumerate(chains):
-                walked[:count, s, c] = markov.walk(runtime.state, first.matrix, count)
+                walked[1 : count + 1, s, c] = markov.walk(runtime.state, first.matrix, count)
                 if noisy:
                     noise_rows[:count, s, c] = sample_noise_block(
                         first.noise, k0 + 1, count, runtime.noise_rng, n
                     )
-        states = walked[:count]
         # stepsizes for k0 .. k0 + count: the last is recorded, not applied
         lams = _stepsizes(first.schedule, k0, count + 1)
+        states = walked[1 : count + 1]
         for j, step in enumerate(kernel.steps(states, noise_rows, lams, max_norm)):
             x_next = X_row[j + 1]
             # adding the chains' columns in order, then dividing, is
@@ -573,26 +571,28 @@ def run_batch(configs) -> list[Trace]:
             np.maximum(x_next, lower, out=x_next)
             np.minimum(x_next, upper, out=x_next)
 
-        f = kernel.objectives(X[1 : count + 1].reshape(count * S, n)).reshape(count, S)
+        f = kernel.objectives(X[: count + 1].reshape(-1, n)).reshape(count + 1, S)
         running = np.fmin.accumulate(f, axis=0)
         np.fmin(running, best_f, out=running)
-        for s in np.flatnonzero(running[-1] < best_f):
+        improved = (running[-1] < best_f) | (np.isnan(best_f) & ~np.isnan(running[-1]))
+        for s in np.flatnonzero(improved):
             j = int(np.flatnonzero(f[:, s] == running[-1, s])[0])
-            best_k[s] = k0 + 1 + j
-            best_x[s] = X[j + 1, s]
+            best_k[s] = k0 + j
+            best_x[s] = X[j, s]
         best_f = running[-1].copy()
         # running never rises, so the rows not below a threshold come first
         pending = (crossed < 0) & (best_f[:, np.newaxis] < CROSSING_THRESHOLDS)
         below = (running[:, :, np.newaxis] < CROSSING_THRESHOLDS).sum(axis=0)
-        crossed[pending] = k0 + 1 + count - below[pending]
-        lo = np.searchsorted(rec_k, k0 + 1)
+        crossed[pending] = k0 + count + 1 - below[pending]
+        lo = np.searchsorted(rec_k, k0)
         hi = np.searchsorted(rec_k, k0 + count, side="right")
-        local = rec_k[lo:hi] - (k0 + 1)
+        local = rec_k[lo:hi] - k0
         rec_f[:, lo:hi] = f[local].T
         rec_best[:, lo:hi] = running[local].T
-        rec_states[:, lo:hi] = states[local].swapaxes(0, 1)
-        rec_lam[lo:hi] = lams[local + 1]
+        rec_states[:, lo:hi] = walked[local].swapaxes(0, 1)
+        rec_lam[lo:hi] = lams[local]
         X[0] = X[count]
+        walked[0] = walked[count]
     wall = (time.perf_counter() - started) / S
 
     rec_k.flags.writeable = False
