@@ -308,9 +308,9 @@ class ExperimentSpec:
 
     Checked when built: the method (UnknownMethodError) and the noise
     test (UnknownTestError), kept normalised ("M1" becomes "m1"), at
-    least one seed, no seed twice, and a budget of at least 1
-    (InvalidSpecError). seeds is kept as a tuple. Each seed, and the
-    budget as an integer, are checked when run_suite builds the runs.
+    least one seed, no seed twice, and an integer budget of at least 1
+    (InvalidSpecError). seeds is kept as a tuple and budget as an int.
+    Each seed is checked when run_suite builds the runs.
     """
 
     method: str
@@ -328,9 +328,9 @@ class ExperimentSpec:
             raise InvalidSpecError("experiment spec needs at least one seed")
         if len(set(seeds)) != len(seeds):
             raise InvalidSpecError(f"experiment spec repeats a seed: {seeds}")
-        if self.budget < 1:
-            raise InvalidSpecError(f"budget must be at least 1, got {self.budget}")
         object.__setattr__(self, "seeds", seeds)
+        budget = _check_count(self.budget, "budget", 1, InvalidSpecError)
+        object.__setattr__(self, "budget", budget)
 
 
 def first_crossings(trace) -> dict:

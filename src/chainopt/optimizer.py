@@ -92,7 +92,7 @@ class DiminishingBlockStepsize:
 
     The stepsize is constant inside each block and decays across blocks;
     the exponent must lie in (2/3, 1] for the diminishing-stepsize
-    convergence guarantee to apply.
+    convergence guarantee to apply. a and xi are kept as floats.
     """
 
     a: float
@@ -106,19 +106,22 @@ class DiminishingBlockStepsize:
             raise InvalidParametersError(
                 f"exponent xi must lie in (2/3, 1], got {self.xi!r}"
             )
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "xi", float(self.xi))
         block_len = markov._check_count(self.block_len, "block_len", 1, InvalidParametersError)
         object.__setattr__(self, "block_len", block_len)
 
 
 @dataclass(frozen=True)
 class ConstantStepsize:
-    """Fixed stepsize. Zero is allowed for fixed-point checks."""
+    """Fixed stepsize, kept as a float. Zero is allowed for fixed-point checks."""
 
     lam: float
 
     def __post_init__(self):
         if not 0.0 <= self.lam < np.inf:
             raise InvalidParametersError(f"stepsize must be finite and >= 0, got {self.lam!r}")
+        object.__setattr__(self, "lam", float(self.lam))
 
 
 def stepsize(schedule, k: int) -> float:
@@ -309,8 +312,11 @@ class Trace:
     k holds the recorded iterate indices; f, best_f, and lam line up
     with it; states holds the 0-based chain states at each recorded
     iterate, one column per chain. best_f is tracked on every iteration
-    even when the recording stride skips some, and best_x/best_k point
-    at the overall best iterate. crossings holds the first iterate (or
+    even when the recording stride skips some: it is the running minimum
+    of f that skips NaN (np.fmin.accumulate), NaN until some f is a
+    number. Once it is a number, best_k is the first iterate whose f
+    equals the last best_f and best_x is that iterate; while every f is
+    NaN they are 0 and x0. crossings holds the first iterate (or
     None) whose best_f is below each of CROSSING_THRESHOLDS, exact at
     any stride. max_subgradient_norm is the largest scaled subgradient
     norm applied during the run. wall_time_s is the run's wall time; for
@@ -485,9 +491,13 @@ def run_batch(configs) -> list[Trace]:
     yields each iteration's (S, M, n) step, which the driver subtracts
     from the iterate, averages over the chains and clips; after its last
     step the kernel folds the block's applied subgradient norms into
-    max_norm. kernel.objectives(points) then gives the block's values
-    for best-so-far tracking, first crossings and recording. Memory
-    grows with the recorded rows, not with the budget.
+    max_norm. Row j of the block's buffers is iterate k0 + j, from the
+    block's first iterate (x0 in the first block) at j = 0 to its last at
+    j = count: kernel.objectives(points) evaluates them all, and
+    best-so-far tracking, first crossings and recording read them by that
+    one index. A block's first iterate is the previous block's last, so
+    it is evaluated twice. Memory grows with the recorded rows, not with
+    the budget.
     """
     configs = list(configs)
     if not configs:

@@ -171,7 +171,7 @@ class NoiseModel:
     from scale * N(0, 1). Each coordinate's second moment is at most
     nu_k^2, with nu_k = 0, 1/k, scale and scale for the four kinds; the
     stepsize times nu_k is summable under a diminishing stepsize only
-    for the first two.
+    for the first two. scale is kept as a float.
     """
 
     kind: str
@@ -182,6 +182,7 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected {_NOISE_KINDS}")
         if self.kind in ("uniform_scaled", "normal_scaled") and not 0.0 < self.scale < np.inf:
             raise ValueError(f"noise kind {self.kind!r} needs a positive finite scale")
+        object.__setattr__(self, "scale", float(self.scale))
 
     @classmethod
     def zero(cls) -> "NoiseModel":

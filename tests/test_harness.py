@@ -286,10 +286,23 @@ class TestRunSuite:
 
     def test_fractional_budget_rejected_before_writing(self, tmp_path):
         out = tmp_path / "out"
-        spec = ExperimentSpec(method="m3", test=1, seeds=(0,), budget=1000.7, out=str(out))
-        with pytest.raises(ValueError, match="got 1000.7"):
-            run_suite(spec)
+        with pytest.raises(InvalidSpecError, match="got 1000.7"):
+            ExperimentSpec(method="m3", test=1, seeds=(0,), budget=1000.7, out=str(out))
         assert not out.exists()
+
+    @pytest.mark.parametrize("budget", [2.5, True], ids=["fraction", "bool"])
+    def test_non_integer_budget_rejected_when_built(self, tmp_path, budget):
+        with pytest.raises(InvalidSpecError, match="^budget must be an integer of at least 1"):
+            ExperimentSpec("m3", 1, (0,), budget=budget, out=str(tmp_path))
+
+    def test_numpy_integer_budget_writes_a_complete_summary(self, tmp_path):
+        spec = ExperimentSpec("m3", 1, (0,), budget=np.int64(100), out=str(tmp_path))
+        assert type(spec.budget) is int
+        summary = run_suite(spec)
+        with open(tmp_path / "m3_test1_summary.json", encoding="utf-8") as fh:
+            written = json.load(fh)
+        assert written["budget"] == 100
+        assert written["per_seed"] == summary["per_seed"]
 
     def test_unknown_schedule_rejected_before_writing(self, tmp_path):
         out = tmp_path / "out"

@@ -290,6 +290,43 @@ class TestRun:
         assert trace.f[0] == trace.f[1]
         assert trace.best_k == 0
 
+    def test_nan_at_x0_does_not_hold_the_best_iterate(self):
+        # f(x0) is NaN and every later f is a number: best_f is the
+        # NaN-skipping running minimum, and best_k and best_x name the
+        # first iterate that attains its last value
+        class NanAtZero:
+            def __init__(self, b):
+                self.b = b
+
+            def value(self, x):
+                return math.nan if x[0] == 0.0 else abs(float(x[0]) - self.b)
+
+            def subgradient(self, x):
+                return np.sign(x - self.b)
+
+        matrix = validate_stochastic([[0.5, 0.5], [0.5, 0.5]])
+        config = RunConfig(
+            problem=ConvexSumProblem(
+                n=1, components=(NanAtZero(1.0), NanAtZero(2.0)),
+                feasible=Box([-5.0], [5.0]), weights=np.asarray([0.5, 0.5]),
+            ),
+            matrix=matrix,
+            decomp=decompose(matrix),
+            chains=(ChainSpec([0.5, 0.5], 0),),
+            schedule=ConstantStepsize(0.1),
+            noise=NoiseModel.zero(),
+            x0=np.zeros(1),
+            budget=50,
+        )
+        trace = run(config)
+        assert math.isnan(trace.f[0])
+        assert np.array_equal(trace.best_f, np.fmin.accumulate(trace.f), equal_nan=True)
+        assert trace.best_f[-1] == 0.5
+        assert trace.best_k == np.flatnonzero(trace.f == trace.best_f[-1])[0] == 10
+        # iterate 10 is 1 up to rounding, the minimizer
+        assert np.array_equal(trace.best_x, run(replace(config, budget=10)).final_x)
+        assert trace.best_x[0] == pytest.approx(1.0, rel=0, abs=1e-12)
+
     def test_max_subgradient_norm_bounds_applied_rows(self):
         config = study_config(budget=300)
         trace = run(config)
@@ -552,6 +589,19 @@ PERIODIC_CHAIN = [
 # (.2, .02, .28, .4, .1) put the optimum at b_1 = 0, while either chain's
 # limit alone would put it at -3 or at 4.
 TWO_CLASS_CHAIN = [[0.4, 0.04, 0.56, 0.0, 0.0]] * 3 + [[0.0, 0.0, 0.0, 0.8, 0.2]] * 2
+# Metropolis-Hastings for the law (.1, .1, .45, .15, .2) on the ring
+# 1-2-3-4-5-1 plus the chord 1-3, proposing a uniform neighbour: row i
+# moves to neighbour j with probability min(1/d_i, pi_j / (pi_i d_j)) and
+# holds otherwise. Detailed balance makes the target the exact
+# stationary law, whose weighted median is again b_3 = 4.
+METROPOLIS_CHAIN = [
+    [0.0, 1 / 3, 1 / 3, 0.0, 1 / 3],
+    [1 / 3, 1 / 6, 1 / 2, 0.0, 0.0],
+    [2 / 27, 1 / 9, 35 / 54, 1 / 6, 0.0],
+    [0.0, 0.0, 1 / 2, 0.0, 1 / 2],
+    [1 / 6, 0.0, 0.0, 3 / 8, 11 / 24],
+]
+METROPOLIS_TARGET = [0.1, 0.1, 0.45, 0.15, 0.2]
 MEDIAN_OFFSETS = np.asarray([0.0, 1.0, 4.0, -3.0, 9.0])
 
 
@@ -594,6 +644,8 @@ class TestWeightedOptimum:
         two_class = validate_stochastic(TWO_CLASS_CHAIN)
         two_starts = (unit_mass(5, 3), start)
         two_class_weights = weights_from_chains(two_starts, decompose(two_class))
+        metropolis = validate_stochastic(METROPOLIS_CHAIN)
+        metropolis_weights = weights_from_chains([start], decompose(metropolis))
         # doubly stochastic control: every component weighs 1/5
         uniform, uniform_start = make_baseline("uniform_random", 5)
         # (matrix, chain starts, weights, x0); the two-class case starts
@@ -602,6 +654,7 @@ class TestWeightedOptimum:
             "transient-fed": (chain, (start,), weights, 0.0),
             "periodic": (periodic, (start,), periodic_weights, 0.0),
             "two-class": (two_class, two_starts, two_class_weights, 2.0),
+            "metropolis-hastings": (metropolis, (start,), metropolis_weights, 0.0),
             "doubly-stochastic": (uniform, (uniform_start,), np.full(5, 0.2), 0.0),
         }
 
@@ -631,13 +684,20 @@ class TestWeightedOptimum:
         alone = [weights_from_chains([start], decomp) for start in starts]
         assert [weighted_median(MEDIAN_OFFSETS, w) for w in alone] == [-3.0, 4.0]
 
+    def test_metropolis_hastings_weights_are_its_target(self):
+        weights = self.cases()["metropolis-hastings"][2]
+        assert np.allclose(weights, METROPOLIS_TARGET, rtol=0, atol=1e-15)
+        assert weighted_median(MEDIAN_OFFSETS, weights) == 4.0
+        assert weighted_median(MEDIAN_OFFSETS, np.full(5, 0.2)) == 1.0
+
     # at 5e4 iterations the last stepsize is 3e-4; the measured worst
     # seeds are 4.5e-4 (transient-fed), 5.6e-4 (periodic), 9.0e-4
-    # (two-class, over seeds 0-43) and 4.2e-3 (control) from the optimum
+    # (two-class) and 2.9e-3 (Metropolis-Hastings), both over seeds 0-43,
+    # and 4.2e-3 (control) from the optimum
     @pytest.mark.parametrize(
         "case, tol",
         [("transient-fed", 1e-3), ("periodic", 1e-3), ("two-class", 2e-3),
-         ("doubly-stochastic", 1e-2)],
+         ("metropolis-hastings", 1e-2), ("doubly-stochastic", 1e-2)],
     )
     @pytest.mark.parametrize(
         "noise", [NoiseModel.zero(), NoiseModel.normal_scaled(0.1)], ids=lambda n: n.kind
@@ -648,7 +708,10 @@ class TestWeightedOptimum:
         final = np.array([trace.final_x[0] for trace in run_batch(configs)])
         assert np.abs(final - weighted_median(MEDIAN_OFFSETS, weights)).max() < tol, final
 
-    @pytest.mark.parametrize("case", ["transient-fed", "periodic", "two-class", "doubly-stochastic"])
+    @pytest.mark.parametrize(
+        "case",
+        ["transient-fed", "periodic", "two-class", "metropolis-hastings", "doubly-stochastic"],
+    )
     @pytest.mark.parametrize(
         "noise", [NoiseModel.zero(), NoiseModel.normal_scaled(0.1)], ids=lambda n: n.kind
     )
@@ -922,6 +985,23 @@ class TestRunBatch:
         assert not np.any(np.signbit(signed(run(config(**ours)))))
         with pytest.raises(ValueError, match=f"must share {field!r}: config 1 differs"):
             run_batch([config(**ours), config(**theirs)])
+
+    # parameters are kept as floats, so an int and the equal float give
+    # one schedule or noise model, bit for bit
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda c, v: replace(c, schedule=ConstantStepsize(v)),
+            lambda c, v: replace(c, schedule=DiminishingBlockStepsize(v, v, 2)),
+            lambda c, v: replace(c, noise=NoiseModel("normal_scaled", v)),
+        ],
+        ids=["constant", "diminishing", "noise"],
+    )
+    def test_integer_and_float_parameters_share_a_batch(self, change):
+        configs = [change(build_experiment("m3", 1, seed=s, budget=50), v)
+                   for s, v in ((0, 1), (1, 1.0))]
+        for trace, config in zip(run_batch(configs), configs):
+            assert_same_trace(trace, run(config))
 
     def test_user_components_are_shared_by_identity(self):
         config = study_config(budget=20)
