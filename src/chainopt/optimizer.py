@@ -640,8 +640,11 @@ def make_baseline(kind: str, m: int, neighbors=None):
     "uniform_random" jumps anywhere with probability 1/m from a uniform
     start; "equal_probability" moves to each declared neighbor with
     probability 1/m and holds otherwise (neighbor sets are 0-based,
-    irreflexive, at most m-1 entries each).
+    irreflexive, at most m-1 entries each). Only "equal_probability"
+    reads neighbor sets; the other kinds refuse them.
     """
+    if neighbors is not None and kind in ("cyclic", "uniform_random"):
+        raise InvalidNeighborsError(f"{kind} reads no neighbor sets")
     if kind == "cyclic":
         mat = np.zeros((m, m))
         mat[np.arange(m - 1), np.arange(1, m)] = 1.0

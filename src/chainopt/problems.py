@@ -171,7 +171,9 @@ class NoiseModel:
     from scale * N(0, 1). Each coordinate's second moment is at most
     nu_k^2, with nu_k = 0, 1/k, scale and scale for the four kinds; the
     stepsize times nu_k is summable under a diminishing stepsize only
-    for the first two. scale is kept as a float.
+    for the first two. The scaled kinds need a positive finite scale,
+    kept as a float; the other two read none and accept only the default
+    0.0, kept as +0.0.
     """
 
     kind: str
@@ -180,9 +182,12 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected {_NOISE_KINDS}")
-        if self.kind in ("uniform_scaled", "normal_scaled") and not 0.0 < self.scale < np.inf:
+        scaled = self.kind in ("uniform_scaled", "normal_scaled")
+        if scaled and not 0.0 < self.scale < np.inf:
             raise ValueError(f"noise kind {self.kind!r} needs a positive finite scale")
-        object.__setattr__(self, "scale", float(self.scale))
+        if not scaled and self.scale != 0.0:
+            raise ValueError(f"noise kind {self.kind!r} reads no scale, got {self.scale!r}")
+        object.__setattr__(self, "scale", float(self.scale) if scaled else 0.0)
 
     @classmethod
     def zero(cls) -> "NoiseModel":

@@ -700,6 +700,13 @@ class TestTextIO:
         with pytest.raises(InvalidDistributionError, match="bad.txt"):
             read_distribution_text(path, 2)
 
+    def test_non_numeric_distribution_names_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0.5 x\n")
+        with pytest.raises(ValueError, match=r"^distribution file .*bad\.txt: could not "
+                           r"convert string to float: 'x'$"):
+            read_distribution_text(path, 2)
+
     def test_read_distribution_multiline(self, tmp_path):
         path = tmp_path / "dist.txt"
         path.write_text("0.25\n0.75\n")

@@ -434,6 +434,17 @@ class TestRunValidation:
         with pytest.raises(ValueError):
             cyclic_config(small_problem(), scale=np.ones(2))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -1.0])
+    def test_scale_entries_checked(self, entry):
+        with pytest.raises(ValueError, match="subgradient scale entries must be finite "
+                           "and nonnegative"):
+            cyclic_config(small_problem(), scale=[1.0, entry, 1.0])
+
+    def test_x0_shape_checked(self):
+        config = cyclic_config(small_problem())
+        with pytest.raises(ValueError, match=r"x0 must have shape \(2,\), got \(3,\)"):
+            replace(config, x0=np.zeros(3))
+
     @pytest.mark.parametrize("seed", [-1, 0.5, True], ids=["negative", "fraction", "bool"])
     def test_seed_must_be_nonnegative_integer(self, seed):
         config = cyclic_config(small_problem())
@@ -1003,6 +1014,13 @@ class TestRunBatch:
         for trace, config in zip(run_batch(configs), configs):
             assert_same_trace(trace, run(config))
 
+    @pytest.mark.parametrize("kind", ["zero", "uniform_decaying"])
+    def test_negative_zero_scale_shares_a_batch(self, kind):
+        configs = [replace(build_experiment("m3", 1, seed=s, budget=50), noise=noise)
+                   for s, noise in ((0, NoiseModel(kind, -0.0)), (1, NoiseModel(kind)))]
+        for trace, config in zip(run_batch(configs), configs):
+            assert_same_trace(trace, run(config))
+
     def test_user_components_are_shared_by_identity(self):
         config = study_config(budget=20)
         twins = [replace(config, problem=plain_abs_problem(config.problem)) for _ in range(2)]
@@ -1088,6 +1106,14 @@ class TestMakeBaseline:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_baseline("zigzag", 3)
+
+    @pytest.mark.parametrize("kind, m, neighbors",
+                             [("cyclic", 3, [[5], [7], [9]]), ("uniform_random", 2, "junk"),
+                              ("cyclic", 3, ((1,), (2,), (0,)))],
+                             ids=["cyclic-out-of-range", "uniform-junk", "cyclic-valid-sets"])
+    def test_other_kinds_refuse_neighbors(self, kind, m, neighbors):
+        with pytest.raises(InvalidNeighborsError, match=f"{kind} reads no neighbor sets"):
+            make_baseline(kind, m, neighbors=neighbors)
 
 
 # ------------------------------------------------------------------- traces

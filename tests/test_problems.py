@@ -224,6 +224,17 @@ class TestNoiseModel:
                 with pytest.raises(ValueError):
                     NoiseModel(kind, scale)
 
+    @pytest.mark.parametrize("kind", ["zero", "uniform_decaying"])
+    @pytest.mark.parametrize("scale", [5, np.nan, None, -3.0, np.inf])
+    def test_unscaled_kinds_refuse_a_scale(self, kind, scale):
+        with pytest.raises(ValueError, match=f"noise kind {kind!r} reads no scale"):
+            NoiseModel(kind, scale)
+
+    @pytest.mark.parametrize("kind", ["zero", "uniform_decaying"])
+    def test_unscaled_kinds_keep_positive_zero(self, kind):
+        scale = NoiseModel(kind, -0.0).scale
+        assert type(scale) is float and scale == 0.0 and not np.signbit(scale)
+
     def test_decaying_needs_positive_k(self):
         with pytest.raises(ValueError):
             sample_noise_block(NoiseModel.uniform_decaying(), 0, 1, np.random.default_rng(0), 2)
