@@ -194,85 +194,61 @@ class ChainDecomposition:
         return cesaro_limit(self.matrix, self.classes, self.transient)
 
 
-def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan over an adjacency-list digraph."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            row = adj[v]
-            for j in range(ei, len(row)):
-                w = row[j]
-                if index[w] == -1:
-                    work[-1] = (v, j + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-    return comps
+def _label_components(adj: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Kosaraju's labelling: each state's strongly connected component and depth.
 
-
-def _levels(adj: list[list[int]], starts) -> dict[int, int]:
-    """Breadth-first distance from the nearest start to every state reachable from starts."""
-    level = dict.fromkeys(starts, 0)
-    frontier = list(level)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in level:
-                    level[w] = level[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return level
-
-
-def _class_period(adj: list[list[int]], members: tuple[int, ...]) -> int:
-    """Period of one recurrent class via breadth-first level labels.
-
-    The class is closed, so the search from its first member stays in
-    it. The gcd of level(i) + 1 - level(j) over the class's edges equals
-    the gcd of its cycle lengths; no cycle enumeration needed.
+    A depth-first search of adj lists the states by finishing time. A
+    search of the reversed graph from the latest-finishing unlabelled
+    state then reaches exactly that state's component, and every state
+    in it gets the root as its label and the length of a path from
+    itself to the root, inside the component, as its depth.
     """
-    level = _levels(adj, members[:1])
-    g = 0
-    for v in members:
-        for w in adj[v]:
-            g = math.gcd(g, level[v] + 1 - level[w])
-    return g
+    n = len(adj)
+    seen = [False] * n
+    finished: list[int] = []
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = True
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                v, edges = stack[-1]
+                for w in edges:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append((w, iter(adj[w])))
+                        break
+                else:
+                    finished.append(stack.pop()[0])
+    reverse: list[list[int]] = [[] for _ in range(n)]
+    for v, row in enumerate(adj):
+        for w in row:
+            reverse[w].append(v)
+    label = [-1] * n
+    depth = [0] * n
+    for root in reversed(finished):
+        if label[root] == -1:
+            label[root] = root
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                for w in reverse[v]:
+                    if label[w] == -1:
+                        label[w] = root
+                        depth[w] = depth[v] + 1
+                        stack.append(w)
+    return label, depth
+
+
+def _reachable(adj: list[list[int]], starts) -> set[int]:
+    """Every state reachable from starts, starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def decompose(P: TransitionMatrix) -> ChainDecomposition:
@@ -283,29 +259,35 @@ def decompose(P: TransitionMatrix) -> ChainDecomposition:
     state is transient. Class order is deterministic: sorted by smallest
     member state. Nothing is solved: a failed Cesaro solve raises
     SingularSolveError at the first read of the result's cesaro.
+
+    The period comes from the labelling's depths, with no cycle
+    enumeration. Each state's depth is the length of a path from it to
+    its class's root. For an edge v -> w of the class, the closed walks
+    root -> v -> w -> root and root -> v -> root differ in length by
+    depth(w) + 1 - depth(v), so the period divides that difference.
+    Around any cycle these terms add up to the cycle's length, so their
+    gcd over the class's edges is the period.
     """
     P = _as_transition(P)
     adj = P._support
-    classes = []
-    transient: list[int] = []
-    for comp in _strongly_connected_components(adj):
-        member_set = set(comp)
-        closed = all(w in member_set for v in comp for w in adj[v])
-        if closed:
-            classes.append(tuple(sorted(comp)))
+    label, depth = _label_components(adj)
+    # filled in state order: each component sorted, ordered by smallest member
+    components: dict[int, list[int]] = {}
+    for s, root in enumerate(label):
+        components.setdefault(root, []).append(s)
+    classes, periods, transient = [], [], []
+    for root, members in components.items():
+        if all(label[w] == root for v in members for w in adj[v]):
+            classes.append(tuple(members))
+            periods.append(math.gcd(*(depth[w] + 1 - depth[v] for v in members for w in adj[v])))
         else:
-            transient.extend(comp)
-    classes.sort(key=lambda c: c[0])
-    periods = tuple(_class_period(adj, cls) for cls in classes)
-    delta = 1
-    for p in periods:
-        delta = math.lcm(delta, p)
+            transient.extend(members)
     return ChainDecomposition(
         matrix=P,
         classes=tuple(classes),
-        periods=periods,
+        periods=tuple(periods),
         transient=tuple(sorted(transient)),
-        delta=delta,
+        delta=math.lcm(*periods),
     )
 
 
@@ -430,6 +412,11 @@ def _check_count(value, name: str, minimum: int, error=ValueError) -> int:
         rule = "a non-negative integer" if minimum == 0 else f"an integer of at least {minimum}"
         raise error(f"{name} must be {rule}, got {value!r}")
     return int(value)
+
+
+def _is_number(value) -> bool:
+    """Whether value is a Python or numpy integer or float; a bool is not."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
 
 
 def limiting_distribution(pi0, decomp: ChainDecomposition) -> np.ndarray:

@@ -18,6 +18,7 @@ from .markov import (
     ChainDecomposition,
     InvalidDistributionError,
     _check_distribution,
+    _is_number,
     limiting_distribution,
 )
 
@@ -183,9 +184,11 @@ class NoiseModel:
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected {_NOISE_KINDS}")
         scaled = self.kind in ("uniform_scaled", "normal_scaled")
-        if scaled and not 0.0 < self.scale < np.inf:
-            raise ValueError(f"noise kind {self.kind!r} needs a positive finite scale")
-        if not scaled and self.scale != 0.0:
+        if scaled and not (_is_number(self.scale) and 0.0 < self.scale < np.inf):
+            raise ValueError(
+                f"noise kind {self.kind!r} needs a positive finite scale, got {self.scale!r}"
+            )
+        if not scaled and not (_is_number(self.scale) and self.scale == 0.0):
             raise ValueError(f"noise kind {self.kind!r} reads no scale, got {self.scale!r}")
         object.__setattr__(self, "scale", float(self.scale) if scaled else 0.0)
 

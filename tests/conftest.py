@@ -162,3 +162,49 @@ def structured_matrices(draw, max_m=8):
     for state in range(start, m):
         mat[state, :] = 1.0 / m
     return mat, classes, [len(c) for c in classes], list(range(start, m))
+
+
+@st.composite
+def cyclic_class_matrices(draw, max_group=3, max_transient=3):
+    """One or two periodic classes with known periods, fed by transient states.
+
+    Each class has d = 2..4 groups of 1..max_group states, and every state
+    of group k moves to every state of group k + 1 (mod d) with a random
+    positive weight. So every cycle of the class has a length divisible
+    by d, some have length d, and its period is d. Each transient state
+    moves to at least one class state and to any other states at random.
+    The states are relabelled by a random permutation. Returns (matrix,
+    classes, periods, transient), classes ordered by smallest member.
+    """
+    groups = []
+    for _ in range(draw(st.integers(1, 2))):
+        sizes = [draw(st.integers(1, max_group)) for _ in range(draw(st.integers(2, 4)))]
+        groups.append(sizes)
+    recurrent = sum(sum(sizes) for sizes in groups)
+    m = recurrent + draw(st.integers(0, max_transient))
+    weights = st.integers(1, 9)
+    mat = np.zeros((m, m))
+    members, start = [], 0
+    for sizes in groups:
+        bounds = np.cumsum([start] + sizes)
+        for k in range(len(sizes)):
+            nxt = (k + 1) % len(sizes)
+            for v in range(bounds[k], bounds[k + 1]):
+                for w in range(bounds[nxt], bounds[nxt + 1]):
+                    mat[v, w] = draw(weights)
+        members.append((list(range(start, bounds[-1])), len(sizes)))
+        start = bounds[-1]
+    for v in range(recurrent, m):
+        mat[v] = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))
+        mat[v, draw(st.integers(0, recurrent - 1))] += draw(weights)
+    mat /= mat.sum(axis=1, keepdims=True)
+    perm = np.asarray(draw(st.permutations(range(m))))
+    relabelled = np.empty_like(mat)
+    relabelled[np.ix_(perm, perm)] = mat
+    expected = sorted((tuple(sorted(perm[states].tolist())), d) for states, d in members)
+    return (
+        relabelled,
+        tuple(cls for cls, _ in expected),
+        tuple(d for _, d in expected),
+        tuple(sorted(perm[recurrent:].tolist())),
+    )

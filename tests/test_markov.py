@@ -36,6 +36,7 @@ from conftest import (
     NINE_STATE_ROWS,
     cesaro_limit_oracle,
     coupled_blocks,
+    cyclic_class_matrices,
     stochastic_matrices,
     structured_matrices,
     unit_mass,
@@ -242,6 +243,16 @@ class TestDecompose:
         assert sorted(dec.transient) == sorted(transient)
         assert dec.delta == math.lcm(*periods)
 
+    @settings(max_examples=60, deadline=None)
+    @given(cyclic_class_matrices())
+    def test_cyclic_groups_exact(self, case):
+        mat, classes, periods, transient = case
+        dec = decompose(mat)
+        assert dec.classes == classes
+        assert dec.transient == transient
+        assert dec.periods == periods
+        assert dec.delta == math.lcm(*periods)
+
     @settings(max_examples=80, deadline=None)
     @given(stochastic_matrices())
     def test_partition_and_closure(self, mat):
@@ -264,14 +275,18 @@ class TestDecompose:
     @settings(max_examples=40, deadline=None)
     @given(stochastic_matrices(max_m=6))
     def test_period_divides_cycles(self, mat):
+        """Each class's period is the gcd of its simple cycles' lengths.
+
+        A cycle is listed once, from its smallest state, and stays inside
+        that state's component. With at most 6 states, simple_cycles_through
+        (up to length 8) sees every simple cycle.
+        """
         dec = decompose(mat)
-        period_of = {}
-        for cls, p in zip(dec.classes, dec.periods):
-            for s in cls:
-                period_of[s] = p
+        cycle_gcd = [0] * mat.shape[0]
         for origin, length in simple_cycles_through(mat):
-            if origin in period_of:
-                assert length % period_of[origin] == 0
+            cycle_gcd[origin] = math.gcd(cycle_gcd[origin], length)
+        for cls, p in zip(dec.classes, dec.periods):
+            assert math.gcd(*(cycle_gcd[s] for s in cls)) == p
 
     @settings(max_examples=40, deadline=None)
     @given(stochastic_matrices(max_m=6), st.randoms(use_true_random=False))

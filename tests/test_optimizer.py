@@ -25,6 +25,7 @@ from chainopt import (
     RunConfig,
     UnreachableClassWarning,
     build_experiment,
+    decay_diagnostic,
     decompose,
     make_baseline,
     make_l1_problem,
@@ -133,6 +134,21 @@ class TestStepsize:
         for bad in (1.5, True):
             with pytest.raises(InvalidParametersError):
                 DiminishingBlockStepsize(1.0, 0.7, bad)
+        # not numbers: each raises the schedule's own error, not a TypeError
+        for bad in ("0.1", None, True, [0.1]):
+            with pytest.raises(InvalidParametersError):
+                ConstantStepsize(bad)
+            with pytest.raises(InvalidParametersError):
+                DiminishingBlockStepsize(bad, 0.7, 1)
+        for bad in ("0.7", None, True, [0.7]):
+            with pytest.raises(InvalidParametersError):
+                DiminishingBlockStepsize(1.0, bad, 1)
+
+    def test_numpy_scalars_accepted(self):
+        assert ConstantStepsize(np.float32(0.5)).lam == 0.5
+        sched = DiminishingBlockStepsize(np.int64(2), np.float32(0.75), np.int64(3))
+        assert (sched.a, sched.xi, sched.block_len) == (2.0, 0.75, 3)
+        assert type(sched.a) is float and type(sched.xi) is float
 
     def test_boundary_exponent_accepted(self):
         DiminishingBlockStepsize(1.0, 1.0, 3)
@@ -732,6 +748,59 @@ class TestWeightedOptimum:
         oracle = run_batch([replace(config, problem=problem) for config in configs])
         for trace, expected in zip(oracle, run_batch(configs)):
             assert np.array_equal(trace.final_x, expected.final_x)
+
+
+class TestLazyChains:
+    """One Cesaro limit, many mixing rates: alpha I + (1 - alpha) P.
+
+    Making the Metropolis-Hastings chain lazy keeps its stationary law
+    exactly and shrinks 1 - SLEM (the second-largest eigenvalue modulus)
+    by the factor 1 - alpha. The limit decides where the iterates go;
+    the mixing rate decides how fast they get there.
+    """
+
+    ALPHAS = (0.0, 0.5, 0.9, 0.99)
+
+    def lazy(self, alpha):
+        return validate_stochastic(alpha * np.eye(5) + (1 - alpha) * np.asarray(METROPOLIS_CHAIN))
+
+    def test_every_alpha_has_the_target_weights(self):
+        # measured: at most 5.7e-15 off, at alpha = 0.99
+        for alpha in self.ALPHAS:
+            weights = weights_from_chains([unit_mass(5, 0)], decompose(self.lazy(alpha)))
+            assert np.allclose(weights, METROPOLIS_TARGET, rtol=0, atol=1e-14), alpha
+            assert weighted_median(MEDIAN_OFFSETS, weights) == 4.0
+
+    def test_decay_rate_falls_with_alpha_and_is_minus_log_slem(self):
+        # 0.996^50 is 0.83, so the default 50 powers barely show the slowest
+        # mode at alpha = 0.99; over 400 powers every beta_hat is within
+        # 3.9e-4 of -ln SLEM (0.480, 0.211, 0.039, 0.0038)
+        betas = []
+        for alpha in self.ALPHAS:
+            chain = self.lazy(alpha)
+            slem = np.sort(np.abs(np.linalg.eigvals(chain.matrix)))[-2]
+            betas.append(decay_diagnostic(chain, 400).matrix.beta_hat)
+            assert abs(betas[-1] + math.log(slem)) < 1e-3, (alpha, betas[-1], slem)
+        assert all(a > b for a, b in zip(betas, betas[1:])), betas
+
+    def test_median_error_does_not_fall_as_alpha_rises(self):
+        # measured medians of |x - 4| over seeds 0-43 at 1e4 iterations:
+        # 1.13e-3, 2.77e-3, 1.34e-2 and 2.55e-1, so each step rises by at
+        # least 2.45x. Three other blocks of 44 seeds (44-175) rose on
+        # every step too, by 1.96-3.01x from alpha 0 to 0.5. At 2e4
+        # iterations that first step moved 0.88-1.05x over 22 seeds, so
+        # the budget stays at 1e4.
+        medians = []
+        for alpha in self.ALPHAS:
+            chain = self.lazy(alpha)
+            start = unit_mass(5, 0)
+            weights = weights_from_chains([start], decompose(chain))
+            configs = median_configs(
+                chain, (start,), weights, 0.0, NoiseModel.zero(), 10_000, range(44)
+            )
+            final = np.array([trace.final_x[0] for trace in run_batch(configs)])
+            medians.append(float(np.median(np.abs(final - 4.0))))
+        assert all(b >= a for a, b in zip(medians, medians[1:])), medians
 
 
 # ------------------------------------------------------------- batched runs

@@ -224,8 +224,18 @@ class TestNoiseModel:
                 with pytest.raises(ValueError):
                     NoiseModel(kind, scale)
 
+    @pytest.mark.parametrize("kind", ["uniform_scaled", "normal_scaled"])
+    @pytest.mark.parametrize("scale", [None, "0.1", [0.1], True])
+    def test_scaled_kinds_refuse_a_non_number(self, kind, scale):
+        with pytest.raises(ValueError, match=f"noise kind {kind!r} needs a positive finite scale"):
+            NoiseModel(kind, scale)
+
+    def test_numpy_scalar_scale_accepted(self):
+        scale = NoiseModel("normal_scaled", np.float32(0.5)).scale
+        assert type(scale) is float and scale == 0.5
+
     @pytest.mark.parametrize("kind", ["zero", "uniform_decaying"])
-    @pytest.mark.parametrize("scale", [5, np.nan, None, -3.0, np.inf])
+    @pytest.mark.parametrize("scale", [5, np.nan, None, -3.0, np.inf, False, "0"])
     def test_unscaled_kinds_refuse_a_scale(self, kind, scale):
         with pytest.raises(ValueError, match=f"noise kind {kind!r} reads no scale"):
             NoiseModel(kind, scale)
